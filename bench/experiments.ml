@@ -164,8 +164,10 @@ let e2 () =
   Printf.printf "%d switches between the OS and VeilMon\n" iterations;
   Printf.printf "average domain switch : %5d cycles  (paper: 7135)\n" (total / iterations);
   Printf.printf "plain VMCALL roundtrip: %5d cycles  (paper: ~1100)\n" C.vmcall_roundtrip;
-  Printf.printf "breakdown: exit %d + VMSA save %d + GHCB %d + host %d + enter %d + restore %d\n"
-    C.automatic_exit C.vmsa_save C.ghcb_msr_protocol C.hv_switch_logic C.automatic_exit C.vmsa_restore
+  Printf.printf "breakdown: %s\n"
+    (String.concat " + "
+       (List.map2 (fun label leg -> Printf.sprintf "%s %d" label (C.switch_cost leg))
+          [ "exit"; "VMSA save"; "GHCB"; "host"; "enter"; "restore" ] C.domain_switch_legs))
 
 (* --- E3: background system impact (§9.1) --- *)
 

@@ -56,8 +56,8 @@ let test_rmpadjust =
          Veil_core.Monitor.domain_switch sys.Veil_core.Boot.mon sys.Veil_core.Boot.vcpu
            ~target:Veil_core.Privdom.Mon;
          ignore
-           (Sevsnp.Platform.rmpadjust sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu ~gpfn:1300
-              ~target:Sevsnp.Types.Vmpl3 ~perms:Sevsnp.Perm.all ~vmsa:false ());
+           (Sevsnp.Platform.rmpadjust sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu
+              ~leg:Sevsnp.Cycles.Rmpadjust ~gpfn:1300 ~target:Sevsnp.Types.Vmpl3 ~perms:Sevsnp.Perm.all ~vmsa:false);
          Veil_core.Monitor.domain_switch sys.Veil_core.Boot.mon sys.Veil_core.Boot.vcpu
            ~target:Veil_core.Privdom.Unt))
 

@@ -302,15 +302,26 @@ let mode_opt_arg =
   let doc = "Measurement mode for workload runs." in
   Arg.(value & opt (enum modes) Workloads.Driver.Veil_background & info [ "mode" ] ~docv:"MODE" ~doc)
 
+let busy_cycles (platform : Sevsnp.Platform.t) =
+  List.fold_left
+    (fun acc v -> acc + Sevsnp.Cycles.total v.Sevsnp.Vcpu.counter)
+    0 (Sevsnp.Platform.vcpus platform)
+
 (* Boot, arm the tracer+profiler, run the chosen scenario, return the
-   platform with both disarmed — shared by [trace] and [profile]. *)
+   platform with both disarmed and the cycles its VCPUs were charged
+   while armed — shared by [trace] and [profile]. *)
 let run_instrumented workload mode npages seed =
+  let busy_at_arm = ref 0 in
+  let arm p =
+    arm_observability p;
+    busy_at_arm := busy_cycles p
+  in
   let platform =
     match workload with
     | "quickstart" ->
         let sys = Veil_core.Boot.boot_veil ~npages ~seed () in
         let platform = sys.Veil_core.Boot.platform in
-        arm_observability platform;
+        arm platform;
         quickstart_scenario sys;
         platform
     | name -> (
@@ -324,14 +335,14 @@ let run_instrumented workload mode npages seed =
             let captured = ref None in
             let on_boot p =
               captured := Some p;
-              arm_observability p
+              arm p
             in
             ignore (Workloads.Driver.run ~seed ~npages ~on_boot mode w);
             Option.get !captured)
   in
   Obs.Trace.set_enabled platform.Sevsnp.Platform.tracer false;
   Obs.Profiler.set_enabled platform.Sevsnp.Platform.profiler false;
-  platform
+  (platform, busy_cycles platform - !busy_at_arm)
 
 let write_file_or_die path contents =
   match open_out path with
@@ -351,7 +362,7 @@ let write_folded platform path =
 
 let trace_cmd =
   let run workload mode out folded npages seed =
-    let platform = run_instrumented workload mode npages seed in
+    let platform, _ = run_instrumented workload mode npages seed in
     let tr = platform.Sevsnp.Platform.tracer in
     write_file_or_die out (Obs.Chrome_trace.to_json tr);
     Printf.printf "wrote %s (timestamps/durations in guest cycles @ %d Hz)\n" out
@@ -378,7 +389,7 @@ let profile_cmd =
     Arg.(value & opt string "-" & info [ "o"; "output" ] ~docv:"FILE" ~doc)
   in
   let run workload mode out folded npages seed =
-    let platform = run_instrumented workload mode npages seed in
+    let platform, charged = run_instrumented workload mode npages seed in
     let prof = platform.Sevsnp.Platform.profiler in
     let buf = Buffer.create 1024 in
     Buffer.add_string buf
@@ -398,13 +409,19 @@ let profile_cmd =
       write_file_or_die out (Buffer.contents buf);
       Printf.printf "wrote %s\n" out
     end;
-    Option.iter (write_folded platform) folded
+    Option.iter (write_folded platform) folded;
+    (* Conservation: every cycle charged while armed lands in exactly
+       one ledger cell. *)
+    let attributed = Obs.Profiler.total_self prof in
+    Printf.printf "charged %d cycles, attributed %d\n" charged attributed;
+    if charged <> attributed then exit 1
   in
   Cmd.v
     (Cmd.info "profile"
        ~doc:
          "Run a scenario under the Veil-Prof cycle-attribution profiler and print the \
-          (VMPL, bucket) ledger; --folded FILE emits flamegraph folded-stack text.")
+          (VMPL, bucket) ledger; --folded FILE emits flamegraph folded-stack text.  Ends with \
+          \"charged N cycles, attributed N\" and exits 1 if the two differ.")
     Term.(const run $ workload_pos_arg $ mode_opt_arg $ prof_out_arg $ folded_arg $ npages_arg
           $ seed_arg)
 
@@ -723,9 +740,7 @@ let report_cmd =
       Veil_core.Monitor.domain_switch sys.Veil_core.Boot.mon vcpu ~target:Veil_core.Privdom.Unt
     done;
     Obs.Profiler.set_enabled prof false;
-    let legs =
-      [ "vmgexit"; "vmsa_save"; "ghcb_protocol"; "hv_relay"; "vmenter"; "vmsa_restore" ]
-    in
+    let legs = List.map Sevsnp.Cycles.leg_name Sevsnp.Cycles.domain_switch_legs in
     if List.length legs_exp <> List.length legs then
       failwith "EXPERIMENTS.md: anchors row leg count changed";
     let measured_total = ref 0 in

@@ -92,9 +92,9 @@ let atk_rmpadjust_lift =
     (fun () ->
       let sys = fresh () in
       match
-        P.rmpadjust sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu
+        P.rmpadjust sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu ~leg:Sevsnp.Cycles.Rmpadjust
           ~gpfn:sys.Veil_core.Boot.layout.Veil_core.Layout.mon_heap.Veil_core.Layout.lo ~target:T.Vmpl3 ~perms:Sevsnp.Perm.all
-          ~vmsa:false ()
+          ~vmsa:false
       with
       | Ok () -> Breached "RMPADJUST lifted VMPL restrictions from Dom_UNT"
       | Error e -> Blocked_error e)
@@ -106,8 +106,8 @@ let atk_rmpadjust_priv =
       let sys = fresh () in
       let own_frame = sys.Veil_core.Boot.layout.Veil_core.Layout.kernel_free.Veil_core.Layout.lo in
       match
-        P.rmpadjust sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu ~gpfn:own_frame ~target:T.Vmpl1
-          ~perms:Sevsnp.Perm.none ~vmsa:false ()
+        P.rmpadjust sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu ~leg:Sevsnp.Cycles.Rmpadjust
+          ~gpfn:own_frame ~target:T.Vmpl1 ~perms:Sevsnp.Perm.none ~vmsa:false
       with
       | Ok () -> Breached "Dom_UNT adjusted Dom_SEC permissions"
       | Error e -> Blocked_error e)
@@ -136,8 +136,8 @@ let atk_spawn_vcpu_rmpadjust =
       let sys = fresh () in
       let frame = K.alloc_frame sys.Veil_core.Boot.kernel in
       match
-        P.rmpadjust sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu ~gpfn:frame ~target:T.Vmpl0
-          ~perms:Sevsnp.Perm.all ~vmsa:true ()
+        P.rmpadjust sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu ~leg:Sevsnp.Cycles.Rmpadjust
+          ~gpfn:frame ~target:T.Vmpl0 ~perms:Sevsnp.Perm.all ~vmsa:true
       with
       | Ok () -> Breached "Dom_UNT created a VMSA"
       | Error e -> Blocked_error e)
@@ -153,7 +153,7 @@ let atk_spawn_vcpu_hypercall =
       let ghcb = K.ghcb sys.Veil_core.Boot.kernel in
       ghcb.Sevsnp.Ghcb.request <-
         Sevsnp.Ghcb.Req_create_vcpu { vmsa_gpfn = frame; target_vmpl = T.Vmpl0 };
-      P.vmgexit sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu;
+      P.vmgexit sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu ~ghcb:true;
       if ghcb.Sevsnp.Ghcb.response = 0 then Breached "hypervisor launched a forged VMPL-0 VMSA"
       else Blocked_error "hardware refused the frame: no RMP VMSA attribute")
 
@@ -223,7 +223,7 @@ let atk_ap_start_tampered_vmsa =
               let ghcb = K.ghcb sys.Veil_core.Boot.kernel in
               ghcb.Sevsnp.Ghcb.request <-
                 Sevsnp.Ghcb.Req_create_vcpu { vmsa_gpfn = frame; target_vmpl = T.Vmpl3 };
-              P.vmgexit sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu;
+              P.vmgexit sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu ~ghcb:true;
               if ghcb.Sevsnp.Ghcb.response = 0 then
                 Breached "hypervisor swapped a forged VMSA into the AP"
               else
@@ -384,7 +384,7 @@ let atk_bad_ghcb =
       (* point the GHCB MSR at a private frame and attempt the switch *)
       let vmsa = Sevsnp.Vcpu.current_vmsa sys.Veil_core.Boot.vcpu in
       vmsa.Sevsnp.Vmsa.ghcb_gpa <- T.gpa_of_gpfn (K.alloc_frame sys.Veil_core.Boot.kernel);
-      P.vmgexit sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu;
+      P.vmgexit sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu ~ghcb:true;
       Breached "domain switch proceeded with a bogus GHCB")
 
 let atk_refuse_relay =
@@ -498,7 +498,7 @@ let atk_enclave_ghcb_escalate =
             match P.ghcb_of_vcpu sys.Veil_core.Boot.platform vcpu with
             | Some g ->
                 g.Sevsnp.Ghcb.request <- Sevsnp.Ghcb.Req_domain_switch { target_vmpl = T.Vmpl0 };
-                P.vmgexit sys.Veil_core.Boot.platform vcpu
+                P.vmgexit sys.Veil_core.Boot.platform vcpu ~ghcb:true
             | None -> failwith "no ghcb");
         Breached "enclave switched to Dom_MON"
       with T.Cvm_halted reason -> Blocked_error ("CVM halted: " ^ reason))

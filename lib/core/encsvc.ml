@@ -3,6 +3,7 @@ module C = Sevsnp.Cycles
 module P = Sevsnp.Platform
 module Pt = Sevsnp.Pagetable
 module Ed = Guest_kernel.Enclave_desc
+module V = Sevsnp.Vcpu
 
 type stats = {
   mutable created : int;
@@ -61,8 +62,6 @@ let resident_frame e va =
   match Hashtbl.find_opt e.e_pages (va land lnot (T.page_size - 1)) with
   | Some p -> p.frame
   | None -> None
-
-let charge vcpu b n = Sevsnp.Vcpu.charge vcpu b n
 
 let perms_of_kind = function
   | Ed.Code -> Sevsnp.Perm.r_user_exec
@@ -149,14 +148,14 @@ let ghcb_switch t vcpu ~target_vmpl ~what =
     (match P.ghcb_of_vcpu platform vcpu with
     | Some g -> g.Sevsnp.Ghcb.request <- Sevsnp.Ghcb.Req_domain_switch { target_vmpl }
     | None -> P.halt platform (what ^ " without GHCB"));
-    P.vmgexit platform vcpu;
+    P.vmgexit platform vcpu ~ghcb:true;
     if not (T.equal_vmpl (Sevsnp.Vcpu.vmpl vcpu) target_vmpl) then
       if attempt >= switch_retries then
         P.halt platform
           (Printf.sprintf "%s: enclave domain switch refused by hypervisor for %d attempts" what
              (attempt + 1))
       else begin
-        charge vcpu C.Switch (500 * (1 lsl min attempt 6));
+        V.charge vcpu C.Switch (500 * (1 lsl min attempt 6));
         go (attempt + 1)
       end
   in
@@ -176,7 +175,7 @@ let schedule_enc_vmsa t vcpu enclave ~vcpu_id =
     with
     | None -> Error (Printf.sprintf "no Dom_ENC instance for vcpu %d" vcpu_id)
     | Some enc_vmsa ->
-        charge vcpu C.Monitor 1_800 (* per-thread VMSA synchronization *);
+        V.charge vcpu C.Monitor 1_800 (* per-thread VMSA synchronization *);
         enc_vmsa.Sevsnp.Vmsa.rip <- enclave.e_desc.Ed.entry_va;
         enc_vmsa.Sevsnp.Vmsa.cr3 <- enclave.e_root;
         enc_vmsa.Sevsnp.Vmsa.ghcb_gpa <- T.gpa_of_gpfn enclave.e_desc.Ed.ghcb_gpfn;
@@ -192,7 +191,7 @@ let svc_pt_io t vcpu : Pt.io =
     write_u64 = P.write_u64 platform vcpu;
     alloc_frame =
       (fun () ->
-        charge vcpu C.Monitor 400;
+        V.charge vcpu C.Monitor 400;
         Monitor.alloc_svc_frame t.mon);
     invalidate = (fun () -> P.tlb_shootdown platform);
   }
@@ -205,7 +204,7 @@ let finalize t vcpu (d : Ed.t) : Idcb.response =
     let seen_va = Hashtbl.create 64 and seen_frame = Hashtbl.create 64 in
     List.iter
       (fun (pg : Ed.page) ->
-        charge vcpu C.Monitor 120;
+        V.charge vcpu C.Monitor 120;
         if Hashtbl.mem seen_va pg.Ed.page_va then raise (Reject "duplicate virtual page in layout");
         if Hashtbl.mem seen_frame pg.Ed.page_gpfn then raise (Reject "aliased physical frame in layout");
         Hashtbl.replace seen_va pg.Ed.page_va ();
@@ -261,7 +260,7 @@ let finalize t vcpu (d : Ed.t) : Idcb.response =
     List.iter
       (fun (pg : Ed.page) ->
         let contents = P.read platform vcpu (T.gpa_of_gpfn pg.Ed.page_gpfn) T.page_size in
-        charge vcpu C.Crypto (C.hash_cost T.page_size);
+        V.charge vcpu C.Crypto (C.hash_cost T.page_size);
         measure_page m ~va:pg.Ed.page_va ~kind:pg.Ed.page_kind ~prot:(Ed.prot_of_kind pg.Ed.page_kind)
           ~contents)
       d.Ed.pages;
@@ -313,7 +312,7 @@ let destroy t vcpu (d : Ed.t) : Idcb.response =
             | None -> ()
             | Some frame ->
                 (* Scrub before returning memory to the OS. *)
-                charge vcpu C.Copy (C.copy_cost T.page_size);
+                V.charge vcpu C.Copy (C.copy_cost T.page_size);
                 P.write platform vcpu (T.gpa_of_gpfn frame) zero;
                 must
                   (Monitor.mon_rmpadjust t.mon vcpu ~gpfn:frame ~target:Privdom.Unt
@@ -371,13 +370,13 @@ let evict t vcpu ~enclave_id ~va : Idcb.response =
           let plaintext = P.read platform vcpu (T.gpa_of_gpfn frame) T.page_size in
           enclave.e_ctr <- enclave.e_ctr + 1;
           let ctr = enclave.e_ctr in
-          charge vcpu C.Crypto (C.hash_cost T.page_size);
+          V.charge vcpu C.Crypto (C.hash_cost T.page_size);
           let h = integrity_hash enclave ~va ~ctr plaintext in
-          charge vcpu C.Crypto (C.cipher_cost T.page_size);
+          V.charge vcpu C.Crypto (C.cipher_cost T.page_size);
           let ciphertext =
             Veil_crypto.Chacha20.encrypt ~key:enclave.e_key ~nonce:(page_nonce enclave ~va ~ctr) plaintext
           in
-          charge vcpu C.Copy (C.copy_cost T.page_size);
+          V.charge vcpu C.Copy (C.copy_cost T.page_size);
           P.write platform vcpu (T.gpa_of_gpfn frame) ciphertext;
           let io = svc_pt_io t vcpu in
           ignore (Pt.unmap io ~root:enclave.e_root va);
@@ -402,11 +401,11 @@ let restore t vcpu ~enclave_id ~va ~gpfn : Idcb.response =
           else begin
             let platform = Monitor.platform t.mon in
             let ciphertext = P.read platform vcpu (T.gpa_of_gpfn gpfn) T.page_size in
-            charge vcpu C.Crypto (C.cipher_cost T.page_size);
+            V.charge vcpu C.Crypto (C.cipher_cost T.page_size);
             let plaintext =
               Veil_crypto.Chacha20.encrypt ~key:enclave.e_key ~nonce:(page_nonce enclave ~va ~ctr) ciphertext
             in
-            charge vcpu C.Crypto (C.hash_cost T.page_size);
+            V.charge vcpu C.Crypto (C.hash_cost T.page_size);
             let h = integrity_hash enclave ~va ~ctr plaintext in
             if not (Bytes.equal h expected_hash) then
               Idcb.Resp_error "VeilS-ENC: page integrity/freshness verification failed"
@@ -419,7 +418,7 @@ let restore t vcpu ~enclave_id ~va ~gpfn : Idcb.response =
                 must
                   (Monitor.mon_rmpadjust t.mon vcpu ~gpfn ~target:Privdom.Enc
                      ~perms:(perms_of_prot pg.prot));
-                charge vcpu C.Copy (C.copy_cost T.page_size);
+                V.charge vcpu C.Copy (C.copy_cost T.page_size);
                 P.write platform vcpu (T.gpa_of_gpfn gpfn) plaintext;
                 let io = svc_pt_io t vcpu in
                 Pt.map io ~root:enclave.e_root va { Pt.pte_gpfn = gpfn; pte_flags = flags_of_prot pg.prot };
@@ -459,7 +458,7 @@ let share_region t vcpu ~owner ~peer ~va ~npages =
        | None -> raise (Reject "shared range outside the owner enclave")
        | Some { frame = None; _ } -> raise (Reject "shared page is evicted")
        | Some { frame = Some frame; prot; _ } ->
-           charge vcpu C.Monitor 400;
+           V.charge vcpu C.Monitor 400;
            (* frames already carry Dom_ENC permissions; only the peer's
               protected tables need the mapping *)
            Pt.map io ~root:peer.e_root page_va { Pt.pte_gpfn = frame; pte_flags = flags_of_prot prot }
@@ -481,7 +480,7 @@ let pt_sync t vcpu ~pid:_ ~va ~npages ~prot : Idcb.response =
       List.iter
         (fun (sva, _) ->
           if sva >= va && sva < va + (npages * T.page_size) then begin
-            charge vcpu C.Monitor 250;
+            V.charge vcpu C.Monitor 250;
             ignore (Pt.protect io ~root:enclave.e_root sva (flags_of_prot prot))
           end)
         enclave.e_desc.Ed.shared)
@@ -492,11 +491,7 @@ let pt_sync t vcpu ~pid:_ ~va ~npages ~prot : Idcb.response =
 
 let enter t vcpu enclave =
   let platform = Monitor.platform t.mon in
-  let prof = platform.P.profiler in
-  let prof_on = Obs.Profiler.enabled prof in
-  if prof_on then
-    Obs.Profiler.push prof ~vcpu:vcpu.Sevsnp.Vcpu.id
-      ~vmpl:(T.vmpl_index (Sevsnp.Vcpu.vmpl vcpu)) ~ts:(Sevsnp.Vcpu.rdtsc vcpu) "enclave_enter";
+  V.open_frame vcpu "enclave_enter";
   (* Scheduling (§6.2/§7): the Dom_ENC instance is shared by all
      enclaves on this VCPU, so its enclave-specific state is
      synchronized before entry (protected tables, user GHCB). *)
@@ -505,7 +500,7 @@ let enter t vcpu enclave =
   | Error e -> P.halt platform ("enclave scheduling: " ^ e));
   (* The OS loads the enclave GHCB into the GHCB MSR before scheduling
      the enclave thread (privileged wrmsr). *)
-  charge vcpu C.Kernel 150;
+  V.charge vcpu C.Kernel 150;
   (match P.set_ghcb platform vcpu (T.gpa_of_gpfn enclave.e_desc.Ed.ghcb_gpfn) with
   | Ok () -> ()
   | Error e -> P.halt platform ("enclave GHCB scheduling: " ^ e));
@@ -516,20 +511,15 @@ let enter t vcpu enclave =
     Obs.Trace.emit platform.P.tracer ~vcpu:vcpu.Sevsnp.Vcpu.id
       ~vmpl:(T.vmpl_index (Sevsnp.Vcpu.vmpl vcpu)) ~ts:(Sevsnp.Vcpu.rdtsc vcpu)
       ~bucket:"monitor" ~arg:enclave.e_id
-      ~id:(Obs.Profiler.id prof ~vcpu:vcpu.Sevsnp.Vcpu.id) Obs.Trace.Enclave_enter;
-  if prof_on then
-    Obs.Profiler.pop prof ~vcpu:vcpu.Sevsnp.Vcpu.id ~ts:(Sevsnp.Vcpu.rdtsc vcpu)
+      ~id:(V.causal_id vcpu) Obs.Trace.Enclave_enter;
+  V.close_frame vcpu
 
 let exit_enclave t vcpu _enclave ~restore_ghcb =
   let platform = Monitor.platform t.mon in
-  let prof = platform.P.profiler in
-  let prof_on = Obs.Profiler.enabled prof in
-  if prof_on then
-    Obs.Profiler.push prof ~vcpu:vcpu.Sevsnp.Vcpu.id
-      ~vmpl:(T.vmpl_index (Sevsnp.Vcpu.vmpl vcpu)) ~ts:(Sevsnp.Vcpu.rdtsc vcpu) "enclave_exit";
+  V.open_frame vcpu "enclave_exit";
   ghcb_switch t vcpu ~target_vmpl:T.Vmpl3 ~what:"enclave exit";
   (* Back in Dom_UNT: the kernel restores its own GHCB MSR. *)
-  charge vcpu C.Kernel 150;
+  V.charge vcpu C.Kernel 150;
   (match P.set_ghcb platform vcpu restore_ghcb with
   | Ok () -> ()
   | Error e -> P.halt platform ("kernel GHCB restore: " ^ e));
@@ -538,10 +528,8 @@ let exit_enclave t vcpu _enclave ~restore_ghcb =
   if Obs.Trace.enabled platform.P.tracer then
     Obs.Trace.emit platform.P.tracer ~vcpu:vcpu.Sevsnp.Vcpu.id
       ~vmpl:(T.vmpl_index (Sevsnp.Vcpu.vmpl vcpu)) ~ts:(Sevsnp.Vcpu.rdtsc vcpu)
-      ~bucket:"monitor" ~id:(Obs.Profiler.id prof ~vcpu:vcpu.Sevsnp.Vcpu.id)
-      Obs.Trace.Enclave_exit;
-  if prof_on then
-    Obs.Profiler.pop prof ~vcpu:vcpu.Sevsnp.Vcpu.id ~ts:(Sevsnp.Vcpu.rdtsc vcpu)
+      ~bucket:"monitor" ~id:(V.causal_id vcpu) Obs.Trace.Enclave_exit;
+  V.close_frame vcpu
 
 let change_perms t vcpu enclave ~va ~npages ~prot =
   (* Dom_ENC -> Dom_SEC through the enclave GHCB (policy-permitted). *)
@@ -555,7 +543,7 @@ let change_perms t vcpu enclave ~va ~npages ~prot =
        | None -> raise (Reject "permission change outside enclave region")
        | Some pg ->
            pg.prot <- prot;
-           charge vcpu C.Monitor 300;
+           V.charge vcpu C.Monitor 300;
            ignore (Pt.protect io ~root:enclave.e_root page_va (flags_of_prot prot));
            (match pg.frame with
            | Some frame -> (
@@ -573,24 +561,24 @@ let change_perms t vcpu enclave ~va ~npages ~prot =
 
 (* --- memory access through the protected tables --- *)
 
-let read_mem ?(bucket = C.Compute) t vcpu enclave ~va ~len =
+let read_mem ?(leg = C.Compute) t vcpu enclave ~va ~len =
   let platform = Monitor.platform t.mon in
-  charge vcpu bucket (C.copy_cost len);
+  V.charge vcpu leg (C.copy_cost len);
   P.read_via_pt platform vcpu ~root:enclave.e_root va len
 
-let write_mem ?(bucket = C.Compute) t vcpu enclave ~va data =
+let write_mem ?(leg = C.Compute) t vcpu enclave ~va data =
   let platform = Monitor.platform t.mon in
-  charge vcpu bucket (C.copy_cost (Bytes.length data));
+  V.charge vcpu leg (C.copy_cost (Bytes.length data));
   P.write_via_pt platform vcpu ~root:enclave.e_root va data
 
-let read_mem_into ?(bucket = C.Compute) t vcpu enclave ~va buf pos len =
+let read_mem_into ?(leg = C.Compute) t vcpu enclave ~va buf pos len =
   let platform = Monitor.platform t.mon in
-  charge vcpu bucket (C.copy_cost len);
+  V.charge vcpu leg (C.copy_cost len);
   P.read_into_via_pt platform vcpu ~root:enclave.e_root va buf pos len
 
-let write_mem_sub ?(bucket = C.Compute) t vcpu enclave ~va data pos len =
+let write_mem_sub ?(leg = C.Compute) t vcpu enclave ~va data pos len =
   let platform = Monitor.platform t.mon in
-  charge vcpu bucket (C.copy_cost len);
+  V.charge vcpu leg (C.copy_cost len);
   P.write_sub_via_pt platform vcpu ~root:enclave.e_root va data pos len
 
 (* --- service registration --- *)

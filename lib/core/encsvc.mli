@@ -83,24 +83,24 @@ val change_perms :
     through the enclave GHCB, protected-table update, and back. *)
 
 val read_mem :
-  ?bucket:Sevsnp.Cycles.bucket -> t -> Sevsnp.Vcpu.t -> enclave -> va:Sevsnp.Types.va -> len:int -> bytes
+  ?leg:Sevsnp.Cycles.leg -> t -> Sevsnp.Vcpu.t -> enclave -> va:Sevsnp.Types.va -> len:int -> bytes
 (** Access enclave memory through the *protected* page tables with the
     current VCPU context's privileges — raises on permission
     violations and {!Sevsnp.Platform.Guest_page_fault} on evicted
     pages. *)
 
 val write_mem :
-  ?bucket:Sevsnp.Cycles.bucket -> t -> Sevsnp.Vcpu.t -> enclave -> va:Sevsnp.Types.va -> bytes -> unit
+  ?leg:Sevsnp.Cycles.leg -> t -> Sevsnp.Vcpu.t -> enclave -> va:Sevsnp.Types.va -> bytes -> unit
 
 val read_mem_into :
-  ?bucket:Sevsnp.Cycles.bucket ->
+  ?leg:Sevsnp.Cycles.leg ->
   t -> Sevsnp.Vcpu.t -> enclave -> va:Sevsnp.Types.va -> bytes -> int -> int -> unit
 (** {!read_mem} into a caller-provided buffer — the SDK's ocall arena
     path uses this with a preallocated scratch buffer so crossing the
     arena allocates nothing per call. *)
 
 val write_mem_sub :
-  ?bucket:Sevsnp.Cycles.bucket ->
+  ?leg:Sevsnp.Cycles.leg ->
   t -> Sevsnp.Vcpu.t -> enclave -> va:Sevsnp.Types.va -> bytes -> int -> int -> unit
 (** {!write_mem} of a slice of the given buffer. *)
 

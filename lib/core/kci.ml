@@ -38,11 +38,9 @@ let activate t vcpu =
   sweep l.Layout.kernel_data data_perms;
   t.activated <- true
 
-let charge vcpu b n = Sevsnp.Vcpu.charge vcpu b n
-
 let install_module t vcpu (image : Guest_kernel.Kmodule.image) text_gpfns data_gpfns =
   let platform = Monitor.platform t.mon in
-  charge vcpu C.Crypto (C.hash_cost (Guest_kernel.Kmodule.binary_size image));
+  Sevsnp.Vcpu.charge vcpu C.Crypto (C.hash_cost (Guest_kernel.Kmodule.binary_size image));
   if not (Guest_kernel.Kmodule.verify ~vendor_public:t.vendor_public image) then begin
     t.stats.rejected <- t.stats.rejected + 1;
     Idcb.Resp_error "VeilS-KCI: module signature verification failed"
@@ -54,7 +52,7 @@ let install_module t vcpu (image : Guest_kernel.Kmodule.image) text_gpfns data_g
     let ok =
       List.for_all
         (fun (off, sym) ->
-          charge vcpu C.Monitor 200;
+          Sevsnp.Vcpu.charge vcpu C.Monitor 200;
           match List.assoc_opt sym t.symbols with
           | None -> false
           | Some addr ->
@@ -74,7 +72,7 @@ let install_module t vcpu (image : Guest_kernel.Kmodule.image) text_gpfns data_g
             let off = i * T.page_size in
             let n = min T.page_size (Bytes.length data - off) in
             if n > 0 then begin
-              charge vcpu C.Copy (C.copy_cost n);
+              Sevsnp.Vcpu.charge vcpu C.Copy (C.copy_cost n);
               P.write platform vcpu (T.gpa_of_gpfn frame) (Bytes.sub data off n)
             end)
           frames
@@ -83,7 +81,7 @@ let install_module t vcpu (image : Guest_kernel.Kmodule.image) text_gpfns data_g
       write_span data_gpfns image.Guest_kernel.Kmodule.data;
       (* RMP permission update requires a TLB shootdown + RMP-coherence
          flush across VCPUs before the text may execute *)
-      charge vcpu C.Monitor (15_000 + (2_000 * List.length text_gpfns));
+      Sevsnp.Vcpu.charge vcpu C.Monitor (15_000 + (2_000 * List.length text_gpfns));
       (* Write-protect the prepared text (read + supervisor exec). *)
       List.iter
         (fun gpfn ->
@@ -106,7 +104,7 @@ let install_module t vcpu (image : Guest_kernel.Kmodule.image) text_gpfns data_g
   end
 
 let uninstall_module t vcpu (loaded : Guest_kernel.Kmodule.loaded) =
-  charge vcpu C.Monitor (15_000 + (2_000 * List.length loaded.Guest_kernel.Kmodule.text_gpfns));
+  Sevsnp.Vcpu.charge vcpu C.Monitor (15_000 + (2_000 * List.length loaded.Guest_kernel.Kmodule.text_gpfns));
   (* Return the text frames to the OS: writable again, no exec needed. *)
   List.iter
     (fun gpfn ->

@@ -101,10 +101,6 @@ let stats t = t.stats
 let boot_vcpu t = t.boot_vcpu
 let monitor_ghcb_gpa t = t.mon_ghcb_gpa
 
-let charge t b n = V.charge t.boot_vcpu b n
-
-let charge_on vcpu b n = V.charge vcpu b n
-
 let create ~hv ~layout ~boot_vcpu =
   if not (T.equal_vmpl (V.vmpl boot_vcpu) T.Vmpl0) then
     failwith "VeilMon must boot on the hypervisor-created VMPL-0 instance";
@@ -247,7 +243,7 @@ let retry_insn t vcpu what f =
           Error (Printf.sprintf "%s: transient hypervisor failure persisted for %d attempts: %s" what (max_retries + 1) e)
         else begin
           Obs.Metrics.incr t.c_insn_retries;
-          charge_on vcpu C.Monitor (backoff_cycles attempt);
+          V.charge vcpu C.Monitor (backoff_cycles attempt);
           go (attempt + 1)
         end
     | Error _ as r -> r
@@ -263,7 +259,7 @@ let hypercall t vcpu req =
   let g = mon_ghcb t in
   let rec go attempt =
     g.Sevsnp.Ghcb.request <- req;
-    P.vmgexit t.platform vcpu;
+    P.vmgexit t.platform vcpu ~ghcb:true;
     let resp = g.Sevsnp.Ghcb.response in
     if resp = 0 || resp = 1 then resp
     else if attempt >= max_retries then
@@ -271,7 +267,7 @@ let hypercall t vcpu req =
         (Printf.sprintf "GHCB sanitizer: out-of-protocol hypercall response %#x persisted for %d attempts" resp (max_retries + 1))
     else begin
       Obs.Metrics.incr t.c_ghcb_sanitized;
-      charge_on vcpu C.Monitor (backoff_cycles attempt);
+      V.charge vcpu C.Monitor (backoff_cycles attempt);
       go (attempt + 1)
     end
   in
@@ -279,11 +275,11 @@ let hypercall t vcpu req =
 
 let create_replica t vcpu ~vcpu_id ~(dom : Privdom.t) ~rip =
   let frame = alloc_vmsa_frame t in
-  charge_on vcpu C.Monitor 2000 (* VMSA preparation: stack, GDT/IDT, page tables (§5.2) *);
+  V.charge vcpu C.Monitor 2000 (* VMSA preparation: stack, GDT/IDT, page tables (§5.2) *);
   (match
      retry_insn t vcpu "replica VMSA rmpadjust" (fun () ->
-         P.rmpadjust t.platform vcpu ~bucket:C.Monitor ~gpfn:frame ~target:(Privdom.vmpl dom)
-           ~perms:Sevsnp.Perm.none ~vmsa:true ())
+         P.rmpadjust t.platform vcpu ~leg:C.Rmpadjust_monitor ~gpfn:frame ~target:(Privdom.vmpl dom)
+           ~perms:Sevsnp.Perm.none ~vmsa:true)
    with
   | Ok () -> ()
   | Error e -> P.halt t.platform ("replica VMSA rmpadjust: " ^ e));
@@ -319,7 +315,7 @@ let grant_region t vcpu (r : Layout.region) ~target ~perms =
   for gpfn = r.Layout.lo to r.Layout.hi - 1 do
     match
       retry_insn t vcpu "boot sweep" (fun () ->
-          P.rmpadjust t.platform vcpu ~bucket:C.Monitor ~gpfn ~target ~perms ~vmsa:false ())
+          P.rmpadjust t.platform vcpu ~leg:C.Rmpadjust_monitor ~gpfn ~target ~perms ~vmsa:false)
     with
     | Ok () -> ()
     | Error e -> P.halt t.platform ("boot sweep: " ^ e)
@@ -329,7 +325,7 @@ let grant_region t vcpu (r : Layout.region) ~target ~perms =
    sweeps and delegation. *)
 let mon_pvalidate t vcpu ~gpfn ~to_private =
   retry_insn t vcpu "pvalidate" (fun () ->
-      P.pvalidate t.platform vcpu ~bucket:C.Monitor ~gpfn ~to_private ())
+      P.pvalidate t.platform vcpu ~leg:C.Pvalidate_monitor ~gpfn ~to_private)
 
 let initialize t ~kernel_entry =
   if t.initialized then failwith "VeilMon already initialized";
@@ -396,7 +392,7 @@ let initialize t ~kernel_entry =
   Hypervisor.Hv.kernel_handler_frame t.hv l.Layout.kernel_text.Layout.lo;
   (* 8. Charge the launch-measurement hashing of the boot image. *)
   let image_bytes = Layout.region_size l.Layout.mon_image + Layout.region_size l.Layout.kernel_text in
-  charge t C.Crypto (C.hash_cost (image_bytes * T.page_size));
+  V.charge t.boot_vcpu C.Crypto (C.hash_cost (image_bytes * T.page_size));
   t.initialized <- true
 
 (* --- domain switches --- *)
@@ -409,11 +405,7 @@ let domain_switch t vcpu ~target =
   in
   (* One frame per relayed switch: its children are the exit legs, the
      host relay, and the entry legs — the paper's six-leg breakdown. *)
-  let prof = t.platform.P.profiler in
-  let prof_on = Obs.Profiler.enabled prof in
-  if prof_on then
-    Obs.Profiler.push prof ~vcpu:vcpu.V.id ~vmpl:(T.vmpl_index (V.vmpl vcpu)) ~ts:(V.rdtsc vcpu)
-      "domain_switch";
+  V.open_frame vcpu "domain_switch";
   let target_vmpl = Privdom.vmpl target in
   (* The relay is a *request* to an untrusted hypervisor: verify the
      switch actually landed in the target instance before executing a
@@ -422,25 +414,25 @@ let domain_switch t vcpu ~target =
      explicit halt (never a silent wrong-domain execution or a spin). *)
   let rec attempt n =
     ghcb.Sevsnp.Ghcb.request <- Sevsnp.Ghcb.Req_domain_switch { target_vmpl };
-    P.vmgexit t.platform vcpu;
+    P.vmgexit t.platform vcpu ~ghcb:true;
     if not (T.equal_vmpl (V.vmpl vcpu) target_vmpl) then begin
       if n >= max_retries then
         P.halt t.platform
           (Printf.sprintf "domain switch refused by hypervisor for %d attempts" (max_retries + 1))
       else begin
         Obs.Metrics.incr t.c_switch_retries;
-        charge_on vcpu C.Switch (backoff_cycles n);
+        V.charge vcpu C.Switch (backoff_cycles n);
         attempt (n + 1)
       end
     end
   in
   attempt 0;
-  if prof_on then Obs.Profiler.pop prof ~vcpu:vcpu.V.id ~ts:(V.rdtsc vcpu)
+  V.close_frame vcpu
 
 (* --- sanitization (§8.1) --- *)
 
 let sanitize t vcpu (req : Idcb.request) : (unit, string) result =
-  charge_on vcpu C.Monitor 250;
+  V.charge vcpu C.Monitor 250;
   let bad_frame gpfn = frame_is_protected t gpfn in
   match req with
   | Idcb.R_pvalidate { gpfn; _ } ->
@@ -449,7 +441,7 @@ let sanitize t vcpu (req : Idcb.request) : (unit, string) result =
       if gpa_is_protected t dest_gpa then Error "log fetch destination points into protected memory"
       else Ok ()
   | Idcb.R_enclave_finalize d ->
-      charge_on vcpu C.Monitor (20 * Guest_kernel.Enclave_desc.npages d);
+      V.charge vcpu C.Monitor (20 * Guest_kernel.Enclave_desc.npages d);
       if List.exists bad_frame (Guest_kernel.Enclave_desc.frames d) then
         Error "enclave descriptor references protected frames"
       else if bad_frame d.Guest_kernel.Enclave_desc.ghcb_gpfn then Error "enclave GHCB frame is protected"
@@ -592,29 +584,26 @@ let os_call t vcpu (req : Idcb.request) : Idcb.response =
      is not already carrying one (e.g. an os_call issued from inside a
      traced syscall keeps the syscall's id). *)
   let prof = t.platform.P.profiler in
-  let prof_on = Obs.Profiler.enabled prof in
-  let minted = prof_on && Obs.Profiler.id prof ~vcpu:vcpu.V.id = 0 in
+  let minted = Obs.Profiler.enabled prof && V.causal_id vcpu = 0 in
   if minted then Obs.Profiler.set_id prof ~vcpu:vcpu.V.id (Obs.Profiler.mint prof);
-  if prof_on then
-    Obs.Profiler.push prof ~vcpu:vcpu.V.id ~vmpl:(T.vmpl_index (V.vmpl vcpu)) ~ts:(V.rdtsc vcpu)
-      "os_call";
+  V.open_frame vcpu "os_call";
   let tr = t.platform.P.tracer in
   if Obs.Trace.enabled tr then begin
-    Obs.Trace.span_begin tr ~bucket:"monitor" ~id:(Obs.Profiler.id prof ~vcpu:vcpu.V.id)
+    Obs.Trace.span_begin tr ~bucket:"monitor" ~id:(V.causal_id vcpu)
       ~vcpu:vcpu.V.id ~vmpl:(T.vmpl_index (V.vmpl vcpu)) ~ts:(V.rdtsc vcpu) "os_call";
     (* The measured serialized slice: another VCPU's call is in service
        until [arrival + queued] on the monitor timeline.  The span is
        stamped on the caller's own clock (queueing is virtual — the
        caller's clock does not advance while parked). *)
     if queued > 0 then
-      Obs.Trace.complete tr ~bucket:"monitor" ~id:(Obs.Profiler.id prof ~vcpu:vcpu.V.id)
+      Obs.Trace.complete tr ~bucket:"monitor" ~id:(V.causal_id vcpu)
         ~vcpu:vcpu.V.id ~vmpl:(T.vmpl_index (V.vmpl vcpu)) ~ts:(V.rdtsc vcpu) ~dur:queued
         (Obs.Trace.Wait Obs.Trace.Monitor_serial)
   end;
   let idcb = idcb_of t ~vcpu_id:vcpu.V.id in
   (* OS writes the request into the IDCB, stamped with the next
      sequence number — the monitor serves each sequence at most once. *)
-  charge_on vcpu C.Copy (C.copy_cost (Idcb.request_size req));
+  V.charge vcpu C.Copy (C.copy_cost (Idcb.request_size req));
   idcb.Idcb.seq <- idcb.Idcb.seq + 1;
   idcb.Idcb.request <- req;
   let target = classify_target req in
@@ -623,15 +612,13 @@ let os_call t vcpu (req : Idcb.request) : Idcb.response =
   let resp = serve_pending t vcpu in
   idcb.Idcb.response <- resp;
   idcb.Idcb.request <- Idcb.R_none;
-  charge_on vcpu C.Copy (C.copy_cost (Idcb.response_size resp));
+  V.charge vcpu C.Copy (C.copy_cost (Idcb.response_size resp));
   domain_switch t vcpu ~target:Privdom.Unt;
   if Obs.Trace.enabled tr then
     Obs.Trace.span_end tr ~vcpu:vcpu.V.id ~vmpl:(T.vmpl_index (V.vmpl vcpu))
       ~ts:(V.rdtsc vcpu) "os_call";
-  if prof_on then begin
-    Obs.Profiler.pop prof ~vcpu:vcpu.V.id ~ts:(V.rdtsc vcpu);
-    if minted then Obs.Profiler.set_id prof ~vcpu:vcpu.V.id 0
-  end;
+  V.close_frame vcpu;
+  if minted then Obs.Profiler.set_id prof ~vcpu:vcpu.V.id 0;
   ledger_exit t vcpu ~tag:(Idcb.request_tag req) ~arrival ~queued ~mon0;
   resp
 
@@ -662,7 +649,7 @@ let ring_of t ~vcpu_id =
    ring memory (the Copy cost the IDCB write would have paid). *)
 let ring_submit _t vcpu ring req =
   if Ring.submit ring req then begin
-    charge_on vcpu C.Copy (C.copy_cost (Idcb.request_size req));
+    V.charge vcpu C.Copy (C.copy_cost (Idcb.request_size req));
     true
   end
   else false
@@ -745,18 +732,15 @@ let os_call_batch t vcpu ring =
     Obs.Metrics.add t.c_ring_slots n;
     let arrival, queued, mon0 = ledger_enter t vcpu in
     let prof = t.platform.P.profiler in
-    let prof_on = Obs.Profiler.enabled prof in
-    let minted = prof_on && Obs.Profiler.id prof ~vcpu:vcpu.V.id = 0 in
+    let minted = Obs.Profiler.enabled prof && V.causal_id vcpu = 0 in
     if minted then Obs.Profiler.set_id prof ~vcpu:vcpu.V.id (Obs.Profiler.mint prof);
-    if prof_on then
-      Obs.Profiler.push prof ~vcpu:vcpu.V.id ~vmpl:(T.vmpl_index (V.vmpl vcpu)) ~ts:(V.rdtsc vcpu)
-        "os_call_batch";
+    V.open_frame vcpu "os_call_batch";
     let tr = t.platform.P.tracer in
     if Obs.Trace.enabled tr then begin
-      Obs.Trace.span_begin tr ~bucket:"monitor" ~id:(Obs.Profiler.id prof ~vcpu:vcpu.V.id)
+      Obs.Trace.span_begin tr ~bucket:"monitor" ~id:(V.causal_id vcpu)
         ~vcpu:vcpu.V.id ~vmpl:(T.vmpl_index (V.vmpl vcpu)) ~ts:(V.rdtsc vcpu) "os_call_batch";
       if queued > 0 then
-        Obs.Trace.complete tr ~bucket:"monitor" ~id:(Obs.Profiler.id prof ~vcpu:vcpu.V.id)
+        Obs.Trace.complete tr ~bucket:"monitor" ~id:(V.causal_id vcpu)
           ~vcpu:vcpu.V.id ~vmpl:(T.vmpl_index (V.vmpl vcpu)) ~ts:(V.rdtsc vcpu) ~dur:queued
           (Obs.Trace.Wait Obs.Trace.Ring_flush)
     end;
@@ -770,16 +754,14 @@ let os_call_batch t vcpu ring =
     (* Completion scan: the OS reads each slot's response out of its
        own ring memory, then retires the slots. *)
     for i = 0 to n - 1 do
-      charge_on vcpu C.Copy (C.copy_cost (Idcb.response_size (Ring.response_at ring i)))
+      V.charge vcpu C.Copy (C.copy_cost (Idcb.response_size (Ring.response_at ring i)))
     done;
     Ring.consume ring;
     if Obs.Trace.enabled tr then
       Obs.Trace.span_end tr ~vcpu:vcpu.V.id ~vmpl:(T.vmpl_index (V.vmpl vcpu)) ~ts:(V.rdtsc vcpu)
         "os_call_batch";
-    if prof_on then begin
-      Obs.Profiler.pop prof ~vcpu:vcpu.V.id ~ts:(V.rdtsc vcpu);
-      if minted then Obs.Profiler.set_id prof ~vcpu:vcpu.V.id 0
-    end;
+    V.close_frame vcpu;
+    if minted then Obs.Profiler.set_id prof ~vcpu:vcpu.V.id 0;
     ledger_exit t vcpu ~tag:Idcb.ring_flush_tag ~arrival ~queued ~mon0;
     served
   end
@@ -821,8 +803,8 @@ let reset_wait_ledger t =
 
 let mon_rmpadjust t vcpu ~gpfn ~target ~perms =
   retry_insn t vcpu "rmpadjust" (fun () ->
-      P.rmpadjust t.platform vcpu ~bucket:C.Monitor ~gpfn ~target:(Privdom.vmpl target) ~perms
-        ~vmsa:false ())
+      P.rmpadjust t.platform vcpu ~leg:C.Rmpadjust_monitor ~gpfn ~target:(Privdom.vmpl target) ~perms
+        ~vmsa:false)
 
 let set_enclave_ghcb_policy t vcpu ~ghcb_gpfn =
   (* Must be issued from Dom_MON (the hypervisor only honors VMPL-0). *)

@@ -91,11 +91,7 @@ let append t vcpu (record : Guest_kernel.Audit.record) =
   end
   else begin
     let platform = Monitor.platform t.mon in
-    let prof = platform.P.profiler in
-    let prof_on = Obs.Profiler.enabled prof in
-    if prof_on then
-      Obs.Profiler.push prof ~vcpu:vcpu.Sevsnp.Vcpu.id
-        ~vmpl:(T.vmpl_index (Sevsnp.Vcpu.vmpl vcpu)) ~ts:(Sevsnp.Vcpu.rdtsc vcpu) "slog_append";
+    Sevsnp.Vcpu.open_frame vcpu "slog_append";
     (* Length-prefixed append into the protected region (Dom_SEC rw). *)
     write_line t vcpu line;
     (let tr = platform.P.tracer in
@@ -103,9 +99,8 @@ let append t vcpu (record : Guest_kernel.Audit.record) =
        Obs.Trace.emit tr ~vcpu:vcpu.Sevsnp.Vcpu.id
          ~vmpl:(T.vmpl_index (Sevsnp.Vcpu.vmpl vcpu)) ~ts:(Sevsnp.Vcpu.rdtsc vcpu)
          ~bucket:"monitor" ~arg:(len + 4)
-         ~id:(Obs.Profiler.id prof ~vcpu:vcpu.Sevsnp.Vcpu.id) Obs.Trace.Audit_emit);
-    if prof_on then
-      Obs.Profiler.pop prof ~vcpu:vcpu.Sevsnp.Vcpu.id ~ts:(Sevsnp.Vcpu.rdtsc vcpu);
+         ~id:(Sevsnp.Vcpu.causal_id vcpu) Obs.Trace.Audit_emit);
+    Sevsnp.Vcpu.close_frame vcpu;
     Idcb.Resp_ok
   end
 

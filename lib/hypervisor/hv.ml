@@ -48,8 +48,6 @@ let vmsa_for t ~vcpu_id ~vmpl = Hashtbl.find_opt t.vmsas (vcpu_id, T.vmpl_index 
 let register_vmsa t (vmsa : Sevsnp.Vmsa.t) =
   Hashtbl.replace t.vmsas (vmsa.Sevsnp.Vmsa.vcpu_id, T.vmpl_index vmsa.Sevsnp.Vmsa.vmpl) vmsa
 
-let current_vmpl vcpu = Sevsnp.Vcpu.vmpl vcpu
-
 let policy_allows t ~ghcb_gpfn ~a ~b =
   match Hashtbl.find_opt t.switch_policy ghcb_gpfn with
   | None -> true
@@ -63,22 +61,18 @@ let handle_domain_switch t vcpu target_vmpl =
   let vmsa = Sevsnp.Vcpu.current_vmsa vcpu in
   let ghcb_gpfn = T.gpfn_of_gpa vmsa.Sevsnp.Vmsa.ghcb_gpa in
   let from = vmsa.Sevsnp.Vmsa.vmpl in
-  Sevsnp.Vcpu.charge vcpu C.Switch C.hv_switch_logic;
   (* The host relay leg, billed while the source instance's clock still
      runs (VMENTER has not happened yet). *)
-  let prof = t.platform.P.profiler in
-  if Obs.Profiler.enabled prof then
-    Obs.Profiler.leaf prof ~vcpu:vcpu.Sevsnp.Vcpu.id ~vmpl:(T.vmpl_index from)
-      ~dur:C.hv_switch_logic "hv_relay";
+  let relay = C.switch_cost C.Hv_relay in
+  Sevsnp.Vcpu.charge vcpu C.Hv_relay relay;
   (* From the guest's point of view the relay leg is pure waiting: the
      VCPU is out of the guest while the (untrusted) host decides to
      re-enter it.  Emit it as a wait edge on the request's causal id. *)
   (let tr = t.platform.P.tracer in
    if Obs.Trace.enabled tr then
-     Obs.Trace.complete tr ~bucket:"switch"
-       ~id:(Obs.Profiler.id prof ~vcpu:vcpu.Sevsnp.Vcpu.id)
+     Obs.Trace.complete tr ~bucket:"switch" ~id:(Sevsnp.Vcpu.causal_id vcpu)
        ~vcpu:vcpu.Sevsnp.Vcpu.id ~vmpl:(T.vmpl_index from)
-       ~ts:(Sevsnp.Vcpu.rdtsc vcpu - C.hv_switch_logic) ~dur:C.hv_switch_logic
+       ~ts:(Sevsnp.Vcpu.rdtsc vcpu - relay) ~dur:relay
        (Obs.Trace.Wait Obs.Trace.Relay));
   if not (policy_allows t ~ghcb_gpfn ~a:from ~b:target_vmpl) then
     P.halt t.platform
@@ -99,8 +93,8 @@ let handle_domain_switch t vcpu target_vmpl =
         if Obs.Trace.enabled tr then begin
           let ts0 = vcpu.Sevsnp.Vcpu.last_exit_ts in
           Obs.Trace.complete tr ~bucket:"switch" ~arg:(T.vmpl_index target_vmpl)
-            ~id:(Obs.Profiler.id prof ~vcpu:vcpu.Sevsnp.Vcpu.id)
-            ~vcpu:vcpu.Sevsnp.Vcpu.id ~vmpl:(T.vmpl_index target_vmpl) ~ts:ts0
+            ~id:(Sevsnp.Vcpu.causal_id vcpu) ~vcpu:vcpu.Sevsnp.Vcpu.id
+            ~vmpl:(T.vmpl_index target_vmpl) ~ts:ts0
             ~dur:(Sevsnp.Vcpu.rdtsc vcpu - ts0) Obs.Trace.Domain_switch
         end
   end
@@ -143,7 +137,7 @@ let service_exit t vcpu =
           (let tr = t.platform.P.tracer in
            if Obs.Trace.enabled tr then
              Obs.Trace.emit tr ~vcpu:vcpu.Sevsnp.Vcpu.id
-               ~vmpl:(T.vmpl_index (current_vmpl vcpu)) ~ts:(Sevsnp.Vcpu.rdtsc vcpu)
+               ~vmpl:(T.vmpl_index (Sevsnp.Vcpu.vmpl vcpu)) ~ts:(Sevsnp.Vcpu.rdtsc vcpu)
                ~bucket:"io" ~arg:len Obs.Trace.Io);
           ignore write;
           ghcb.G.response <- 0;
@@ -157,7 +151,7 @@ let service_exit t vcpu =
           ghcb.G.request <- G.Req_none;
           (* Only honored from the hypervisor-known VMPL-0 instance; a
              lower domain cannot retune the guard rails. *)
-          if T.equal_vmpl (current_vmpl vcpu) T.Vmpl0 then begin
+          if T.equal_vmpl (Sevsnp.Vcpu.vmpl vcpu) T.Vmpl0 then begin
             Hashtbl.replace t.switch_policy ghcb_gpfn allowed;
             ghcb.G.response <- 0
           end
@@ -165,7 +159,7 @@ let service_exit t vcpu =
           P.vmenter t.platform vcpu (Sevsnp.Vcpu.current_vmsa vcpu)
       | G.Req_relay_interrupts_to vmpl ->
           ghcb.G.request <- G.Req_none;
-          if T.equal_vmpl (current_vmpl vcpu) T.Vmpl0 then begin
+          if T.equal_vmpl (Sevsnp.Vcpu.vmpl vcpu) T.Vmpl0 then begin
             t.relay_target <- Some vmpl;
             ghcb.G.response <- 0
           end
@@ -192,7 +186,8 @@ let handle_exit t vcpu =
         P.chaos_mark t.platform (Some vcpu) "vmgexit_delay"
       end;
       if Chaos.Fault_plan.fire plan Chaos.Fault_plan.Spurious_exit then begin
-        Sevsnp.Vcpu.charge vcpu C.Switch (C.automatic_exit + C.vmsa_save + C.vmsa_restore);
+        List.iter (fun leg -> Sevsnp.Vcpu.charge vcpu leg (C.switch_cost leg))
+          C.[ Vmgexit; Vmsa_save; Vmsa_restore ];
         P.chaos_mark t.platform (Some vcpu) "spurious_exit"
       end;
       (* Fetch the GHCB only if a GHCB-touching site can ever fire:
@@ -283,7 +278,7 @@ let relay_event t vcpu name =
   let tr = t.platform.P.tracer in
   if Obs.Trace.enabled tr then
     Obs.Trace.emit tr ~phase:Obs.Trace.Instant ~bucket:"switch" ~vcpu:vcpu.Sevsnp.Vcpu.id
-      ~vmpl:(T.vmpl_index (current_vmpl vcpu)) ~ts:(Sevsnp.Vcpu.rdtsc vcpu)
+      ~vmpl:(T.vmpl_index (Sevsnp.Vcpu.vmpl vcpu)) ~ts:(Sevsnp.Vcpu.rdtsc vcpu)
       (Obs.Trace.Span name)
 
 (* One delivery attempt, past drop/coalesce filtering: charge the
@@ -313,12 +308,12 @@ let deliver_one t vcpu =
         | None -> P.halt t.platform "interrupt with no handler reachable"
       end
       else begin
-        P.automatic_exit t.platform vcpu;
+        P.vmgexit t.platform vcpu ~ghcb:false;
         (match vmsa_for t ~vcpu_id:vcpu.Sevsnp.Vcpu.id ~vmpl:target with
         | None -> P.halt t.platform "no relay-target instance"
         | Some target_vmsa -> P.vmenter t.platform vcpu target_vmsa);
         deliver ();
-        P.automatic_exit t.platform vcpu;
+        P.vmgexit t.platform vcpu ~ghcb:false;
         P.vmenter t.platform vcpu interrupted
       end
   | _ -> deliver ()

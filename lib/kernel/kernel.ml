@@ -2,6 +2,7 @@ module P = Sevsnp.Platform
 module T = Sevsnp.Types
 module C = Sevsnp.Cycles
 module Pt = Sevsnp.Pagetable
+module V = Sevsnp.Vcpu
 
 type t = {
   platform : P.t;
@@ -71,8 +72,6 @@ let vendor_public_key t = t.vendor.Veil_crypto.Schnorr.public
 
 let vendor_sign_module t img = Kmodule.sign t.rng ~vendor_secret:t.vendor.Veil_crypto.Schnorr.secret img
 
-let charge t bucket n = Sevsnp.Vcpu.charge t.vcpu bucket n
-
 (* --- frame allocator --- *)
 
 let alloc_frame t =
@@ -98,11 +97,11 @@ let notify_host_page_state t gpfn to_shared =
   | None -> () (* early boot: host learns lazily *)
   | Some g ->
       g.Sevsnp.Ghcb.request <- Sevsnp.Ghcb.Req_page_state_change { gpfn; to_shared };
-      P.vmgexit t.platform t.vcpu
+      P.vmgexit t.platform t.vcpu ~ghcb:true
 
 let pvalidate_op t gpfn to_private =
   if T.equal_vmpl (kernel_vmpl t) T.Vmpl0 then
-    Result.map_error (fun e -> e) (P.pvalidate t.platform t.vcpu ~bucket:C.Kernel ~gpfn ~to_private ())
+    P.pvalidate t.platform t.vcpu ~leg:C.Pvalidate_kernel ~gpfn ~to_private
   else t.hooks.Hooks.h_pvalidate ~gpfn ~to_private
 
 let share_page_with_host t gpfn =
@@ -129,7 +128,7 @@ let pt_io t : Pt.io =
     write_u64 = P.write_u64 t.platform t.vcpu;
     alloc_frame =
       (fun () ->
-        charge t C.Kernel 400;
+        V.charge t.vcpu C.Kernel 400;
         alloc_frame t);
     invalidate = (fun () -> P.tlb_shootdown t.platform);
   }
@@ -141,7 +140,7 @@ let map_user_pages t (proc : Process.t) ~va ~npages ~prot =
   let io = pt_io t in
   for i = 0 to npages - 1 do
     let frame = alloc_frame t in
-    charge t C.Kernel 500;
+    V.charge t.vcpu C.Kernel 500;
     Pt.map io ~root:proc.Process.pt_root (va + (i * T.page_size)) { Pt.pte_gpfn = frame; pte_flags = flags_of_prot prot }
   done
 
@@ -152,7 +151,7 @@ let unmap_user_pages t (proc : Process.t) ~va ~npages =
     (match P.translate t.platform ~root:proc.Process.pt_root page_va with
     | Some pte -> free_frame t pte.Pt.pte_gpfn
     | None -> ());
-    charge t C.Kernel 300;
+    V.charge t.vcpu C.Kernel 300;
     ignore (Pt.unmap io ~root:proc.Process.pt_root page_va)
   done;
   (* Distributed TLB shootdown: local flush on the initiating VCPU
@@ -161,11 +160,11 @@ let unmap_user_pages t (proc : Process.t) ~va ~npages =
   P.tlb_shootdown_distributed t.platform ~initiator:t.vcpu
 
 let write_user t (proc : Process.t) ~va data =
-  charge t C.Copy (C.copy_cost (Bytes.length data));
+  V.charge t.vcpu C.Copy (C.copy_cost (Bytes.length data));
   P.write_via_pt t.platform t.vcpu ~root:proc.Process.pt_root va data
 
 let read_user t (proc : Process.t) ~va ~len =
-  charge t C.Copy (C.copy_cost len);
+  V.charge t.vcpu C.Copy (C.copy_cost len);
   P.read_via_pt t.platform t.vcpu ~root:proc.Process.pt_root va len
 
 (* --- boot --- *)
@@ -215,7 +214,7 @@ let finish_boot t =
   (if T.equal_vmpl (kernel_vmpl t) T.Vmpl0 then begin
      let validate_range (lo, hi) =
        for gpfn = lo to hi - 1 do
-         match P.pvalidate t.platform t.vcpu ~bucket:C.Kernel ~gpfn ~to_private:true () with
+         match P.pvalidate t.platform t.vcpu ~leg:C.Pvalidate_kernel ~gpfn ~to_private:true with
          | Ok () -> ()
          | Error e -> failwith e
        done
@@ -242,7 +241,7 @@ let spawn t =
   let pid = t.next_pid in
   t.next_pid <- pid + 1;
   let pt_root = alloc_frame t in
-  charge t C.Kernel 4000;
+  V.charge t.vcpu C.Kernel 4000;
   let p = Process.create ~pid ~ppid:(if pid = 1 then 0 else 1) ~pt_root in
   Hashtbl.replace t.procs pid p;
   if t.init = None then t.init <- Some p;
@@ -256,7 +255,7 @@ let init_process t = match t.init with Some p -> p | None -> failwith "kernel: n
 
 let handle_interrupt t _vcpu =
   t.jiffies <- t.jiffies + 1;
-  charge t C.Kernel 1800
+  V.charge t.vcpu C.Kernel 1800
 
 (* --- module loading --- *)
 
@@ -266,7 +265,7 @@ let apply_relocations t (img : Kmodule.image) text_copy =
       match List.assoc_opt sym t.symbols with
       | None -> failwith (Printf.sprintf "module %s: unknown symbol %s" img.Kmodule.name sym)
       | Some addr ->
-          charge t C.Kernel 200;
+          V.charge t.vcpu C.Kernel 200;
           Bytes.set_int64_le text_copy off (Int64.of_int addr))
     img.Kmodule.relocs
 
@@ -280,13 +279,13 @@ let write_span t frames data =
       let off = i * T.page_size in
       let n = min T.page_size (Bytes.length data - off) in
       if n > 0 then begin
-        charge t C.Copy (C.copy_cost n);
+        V.charge t.vcpu C.Copy (C.copy_cost n);
         P.write_sub t.platform t.vcpu (T.gpa_of_gpfn frame) data off n
       end)
     frames
 
 let load_module_native t (img : Kmodule.image) =
-  charge t C.Crypto (C.hash_cost (Kmodule.binary_size img));
+  V.charge t.vcpu C.Crypto (C.hash_cost (Kmodule.binary_size img));
   if not (Kmodule.verify ~vendor_public:(vendor_public_key t) img) then Error "module signature invalid"
   else begin
     let text_copy = Bytes.copy img.Kmodule.text in
@@ -297,7 +296,7 @@ let load_module_native t (img : Kmodule.image) =
     write_span t data_gpfns img.Kmodule.data;
     (* W^X via page-table flags only (the protection VeilS-KCI
        hardens with RMPADJUST, since these bits are forgeable). *)
-    charge t C.Kernel (300 * List.length text_gpfns);
+    V.charge t.vcpu C.Kernel (300 * List.length text_gpfns);
     Ok
       {
         Kmodule.module_image = img;
@@ -309,7 +308,7 @@ let load_module_native t (img : Kmodule.image) =
   end
 
 let load_module t img =
-  charge t C.Kernel 700_000 (* allocation, sysfs/kobject setup, init call *);
+  V.charge t.vcpu C.Kernel 700_000 (* allocation, sysfs/kobject setup, init call *);
   let result = if t.hooks_installed then t.hooks.Hooks.h_module_load img else load_module_native t img in
   (match result with
   | Ok loaded -> Hashtbl.replace t.modules img.Kmodule.name loaded
@@ -320,7 +319,7 @@ let unload_module t name =
   match Hashtbl.find_opt t.modules name with
   | None -> Error "module not loaded"
   | Some loaded ->
-      charge t C.Kernel 1_280_000 (* synchronize_rcu + teardown dominate unload *);
+      V.charge t.vcpu C.Kernel 1_280_000 (* synchronize_rcu + teardown dominate unload *);
       let release () =
         List.iter (free_frame t) loaded.Kmodule.text_gpfns;
         List.iter (free_frame t) loaded.Kmodule.data_gpfns;
@@ -368,12 +367,12 @@ let enclave_create t (proc : Process.t) ~binary ~heap_pages ~stack_pages =
            let off = i * T.page_size in
            let n = min T.page_size (Bytes.length binary - off) in
            if n > 0 then begin
-             charge t C.Copy (C.copy_cost n);
+             V.charge t.vcpu C.Copy (C.copy_cost n);
              P.write t.platform t.vcpu (T.gpa_of_gpfn pg.Enclave_desc.page_gpfn) (Bytes.sub binary off n)
            end
          end);
         let prot = Enclave_desc.prot_of_kind pg.Enclave_desc.page_kind in
-        charge t C.Kernel 500;
+        V.charge t.vcpu C.Kernel 500;
         Pt.map (pt_io t) ~root:proc.Process.pt_root pg.Enclave_desc.page_va
           { Pt.pte_gpfn = pg.Enclave_desc.page_gpfn; pte_flags = flags_of_prot prot })
       pages;
@@ -391,7 +390,7 @@ let enclave_create t (proc : Process.t) ~binary ~heap_pages ~stack_pages =
           List.init shared_pages (fun i ->
               let va = ghcb_va + ((1 + i) * T.page_size) in
               let frame = alloc_frame t in
-              charge t C.Kernel 500;
+              V.charge t.vcpu C.Kernel 500;
               Pt.map (pt_io t) ~root:proc.Process.pt_root va
                 { Pt.pte_gpfn = frame; pte_flags = flags_of_prot Ktypes.prot_rw };
               (va, frame))
@@ -461,7 +460,7 @@ let lift : ('a, Ktypes.errno) result -> ('a -> Ktypes.ret) -> Ktypes.ret =
  fun r k -> match r with Ok v -> k v | Error e -> Ktypes.RErr e
 
 let sys_open t proc path flags mode =
-  charge t C.Kernel 2600 (* path walk, dentry/inode, fd install *);
+  V.charge t.vcpu C.Kernel 2600 (* path walk, dentry/inode, fd install *);
   let path = abspath proc path in
   let readable, writable, creat, trunc, append, excl = open_flag_bits flags in
   let exists = Fs.exists t.fs path in
@@ -492,11 +491,11 @@ let sys_read t proc fd len =
           else
             lift (Fs.read_at t.fs fs_state.Fd.path ~pos:fs_state.Fd.pos ~len) (fun data ->
                 fs_state.Fd.pos <- fs_state.Fd.pos + Bytes.length data;
-                charge t C.Copy (C.copy_cost (Bytes.length data));
+                V.charge t.vcpu C.Copy (C.copy_cost (Bytes.length data));
                 Ktypes.RBuf data)
       | Fd.Sock ep ->
           lift (Net.recv t.net ep len) (fun data ->
-              charge t C.Copy (C.copy_cost (Bytes.length data));
+              V.charge t.vcpu C.Copy (C.copy_cost (Bytes.length data));
               Ktypes.RBuf data)
       | Fd.Pipe_r p ->
           let n = min len (Buffer.length p.Fd.pbuf) in
@@ -506,7 +505,7 @@ let sys_read t proc fd len =
             let out = Bytes.of_string (String.sub all 0 n) in
             Buffer.clear p.Fd.pbuf;
             Buffer.add_string p.Fd.pbuf (String.sub all n (String.length all - n));
-            charge t C.Copy (C.copy_cost n);
+            V.charge t.vcpu C.Copy (C.copy_cost n);
             Ktypes.RBuf out
           end
       | Fd.Pipe_w _ -> Ktypes.RErr Ktypes.EBADF
@@ -520,21 +519,21 @@ let sys_write t proc fd data =
           else begin
             let pos = if fs_state.Fd.append then file_size t fs_state.Fd.path else fs_state.Fd.pos in
             (* Console writes traverse the tty layer. *)
-            if fs_state.Fd.path = "/dev/console" then charge t C.Kernel 2500;
+            if fs_state.Fd.path = "/dev/console" then V.charge t.vcpu C.Kernel 2500;
             lift (Fs.write_at t.fs fs_state.Fd.path ~pos data) (fun n ->
                 fs_state.Fd.pos <- pos + n;
-                charge t C.Copy (C.copy_cost n);
+                V.charge t.vcpu C.Copy (C.copy_cost n);
                 Ktypes.RInt n)
           end
       | Fd.Sock ep ->
           lift (Net.send t.net ep data) (fun n ->
-              charge t C.Copy (C.copy_cost n);
+              V.charge t.vcpu C.Copy (C.copy_cost n);
               Ktypes.RInt n)
       | Fd.Pipe_w p ->
           if p.Fd.readers = 0 then Ktypes.RErr Ktypes.EPIPE
           else begin
             Buffer.add_bytes p.Fd.pbuf data;
-            charge t C.Copy (C.copy_cost (Bytes.length data));
+            V.charge t.vcpu C.Copy (C.copy_cost (Bytes.length data));
             Ktypes.RInt (Bytes.length data)
           end
       | Fd.Pipe_r _ -> Ktypes.RErr Ktypes.EBADF
@@ -568,7 +567,7 @@ let sys_mmap t proc ~len ~protbits ~fd ~off =
     let va = proc.Process.mmap_cursor in
     proc.Process.mmap_cursor <- va + ((npages + 1) * T.page_size);
     let prot = prot_of_bits protbits in
-    charge t C.Kernel 2600;
+    V.charge t.vcpu C.Kernel 2600;
     map_user_pages t proc ~va ~npages ~prot:{ prot with Ktypes.pw = true };
     (* Pre-populate file-backed mappings. *)
     (match if fd >= 0 then Process.find_fd proc fd else Error Ktypes.EBADF with
@@ -602,7 +601,7 @@ let sys_munmap t proc va len =
     match Process.find_vma proc va with
     | None -> Ktypes.RErr Ktypes.EINVAL
     | Some vma ->
-        charge t C.Kernel 1400;
+        V.charge t.vcpu C.Kernel 1400;
         unmap_user_pages t proc ~va ~npages:(min npages vma.Process.vma_npages);
         ignore (Process.remove_vma proc vma.Process.vma_start);
         Ktypes.RInt 0
@@ -615,7 +614,7 @@ let sys_mprotect t proc va len protbits =
     (* Enclave region permissions are owned by VeilS-ENC (§6.2). *)
     Ktypes.RErr Ktypes.EACCES
   else begin
-    charge t C.Kernel 900;
+    V.charge t.vcpu C.Kernel 900;
     let io = pt_io t in
     let changed = ref 0 in
     for i = 0 to npages - 1 do
@@ -646,7 +645,7 @@ let sys_brk t proc newbrk =
   end
 
 let sys_socket t proc =
-  charge t C.Kernel 2600 (* sk_alloc, protocol setup *);
+  V.charge t.vcpu C.Kernel 2600 (* sk_alloc, protocol setup *);
   Ktypes.RInt (Process.alloc_fd proc (Fd.mk_sock (Net.socket t.net)))
 
 let with_sock proc fd k =
@@ -676,7 +675,7 @@ let dispatch t (proc : Process.t) (sys : Sysno.t) (args : Ktypes.arg list) : Kty
           match f.Fd.kind with
           | Fd.File st ->
               lift (Fs.read_at t.fs st.Fd.path ~pos ~len) (fun data ->
-                  charge t C.Copy (C.copy_cost (Bytes.length data));
+                  V.charge t.vcpu C.Copy (C.copy_cost (Bytes.length data));
                   RBuf data)
           | _ -> RErr ESPIPE)
   | Sysno.Pwrite64, [ Int fd; Buf data; Int pos ] ->
@@ -684,14 +683,14 @@ let dispatch t (proc : Process.t) (sys : Sysno.t) (args : Ktypes.arg list) : Kty
           match f.Fd.kind with
           | Fd.File st ->
               lift (Fs.write_at t.fs st.Fd.path ~pos data) (fun n ->
-                  charge t C.Copy (C.copy_cost n);
+                  V.charge t.vcpu C.Copy (C.copy_cost n);
                   RInt n)
           | _ -> RErr ESPIPE)
   | Sysno.Readv, [ Int fd; Int len ] -> sys_read t proc fd len
   | Sysno.Writev, [ Int fd; Buf data ] -> sys_write t proc fd data
   | Sysno.Lseek, [ Int fd; Int off; Int whence ] -> sys_lseek t proc fd off whence
   | Sysno.Stat, [ Str path ] | Sysno.Lstat, [ Str path ] ->
-      charge t C.Kernel 900;
+      V.charge t.vcpu C.Kernel 900;
       lift (Fs.stat t.fs (abspath proc path)) (fun s -> RStat s)
   | Sysno.Fstat, [ Int fd ] ->
       lift (Process.find_fd proc fd) (fun f ->
@@ -744,7 +743,7 @@ let dispatch t (proc : Process.t) (sys : Sysno.t) (args : Ktypes.arg list) : Kty
           match f.Fd.kind with
           | Fd.File st ->
               let size = file_size t st.Fd.path in
-              charge t C.Io (C.io_cost (min size 65536));
+              V.charge t.vcpu C.Io (C.io_cost (min size 65536));
               RInt 0
           | _ -> RErr EBADF)
   | Sysno.Mmap, [ Int _addr; Int len; Int protbits; Int _flags; Int fd; Int off ] ->
@@ -758,21 +757,21 @@ let dispatch t (proc : Process.t) (sys : Sysno.t) (args : Ktypes.arg list) : Kty
   | Sysno.Listen, [ Int fd; Int backlog ] ->
       with_sock proc fd (fun ep -> lift (Net.listen t.net ep ~backlog) (fun () -> RInt 0))
   | Sysno.Connect, [ Int fd; Int port ] ->
-      charge t C.Kernel 2200;
+      V.charge t.vcpu C.Kernel 2200;
       with_sock proc fd (fun ep -> lift (Net.connect t.net ep ~port) (fun () -> RInt 0))
   | Sysno.Accept, [ Int fd ] | Sysno.Accept4, [ Int fd ] ->
-      charge t C.Kernel 1800;
+      V.charge t.vcpu C.Kernel 1800;
       with_sock proc fd (fun ep ->
           lift (Net.accept t.net ep) (fun client -> RInt (Process.alloc_fd proc (Fd.mk_sock client))))
   | Sysno.Sendto, [ Int fd; Buf data ] | Sysno.Sendmsg, [ Int fd; Buf data ] ->
       with_sock proc fd (fun ep ->
           lift (Net.send t.net ep data) (fun n ->
-              charge t C.Copy (C.copy_cost n);
+              V.charge t.vcpu C.Copy (C.copy_cost n);
               RInt n))
   | Sysno.Recvfrom, [ Int fd; Int len ] | Sysno.Recvmsg, [ Int fd; Int len ] ->
       with_sock proc fd (fun ep ->
           lift (Net.recv t.net ep len) (fun data ->
-              charge t C.Copy (C.copy_cost (Bytes.length data));
+              V.charge t.vcpu C.Copy (C.copy_cost (Bytes.length data));
               RBuf data))
   | Sysno.Shutdown, [ Int fd ] ->
       with_sock proc fd (fun ep ->
@@ -831,22 +830,22 @@ let dispatch t (proc : Process.t) (sys : Sysno.t) (args : Ktypes.arg list) : Kty
   | Sysno.Nanosleep, [ Int ns ] ->
       if ns < 0 then RErr EINVAL
       else begin
-        charge t C.Other (ns * 12 / 5);
+        V.charge t.vcpu C.Other (ns * 12 / 5);
         RInt 0
       end
   | Sysno.Sched_yield, [] -> RInt 0
   | Sysno.Getrandom, [ Int len ] ->
       if len < 0 then RErr EINVAL
       else begin
-        charge t C.Kernel (200 + (len * 3));
+        V.charge t.vcpu C.Kernel (200 + (len * 3));
         RBuf (Veil_crypto.Rng.bytes t.rng len)
       end
   | Sysno.Fork, [] | Sysno.Vfork, [] | Sysno.Clone, [] ->
-      charge t C.Kernel 45_000;
+      V.charge t.vcpu C.Kernel 45_000;
       let child = spawn t in
       RInt child.Process.pid
   | Sysno.Execve, [ Str _path ] ->
-      charge t C.Kernel 120_000;
+      V.charge t.vcpu C.Kernel 120_000;
       RInt 0
   | Sysno.Exit, [ Int code ] | Sysno.Exit_group, [ Int code ] ->
       proc.Process.exit_code <- Some code;
@@ -873,25 +872,19 @@ let invoke t proc sys args =
   t.syscalls <- t.syscalls + 1;
   Obs.Metrics.incr t.c_syscalls;
   let prof = t.platform.P.profiler in
-  let prof_on = Obs.Profiler.enabled prof in
-  let vcpu_id = t.vcpu.Sevsnp.Vcpu.id in
   (* Syscall entry is a request origin: mint a causal id if none is
      riding this VCPU (an enclave ocall arrives with one already). *)
-  let minted = prof_on && Obs.Profiler.id prof ~vcpu:vcpu_id = 0 in
-  if minted then Obs.Profiler.set_id prof ~vcpu:vcpu_id (Obs.Profiler.mint prof);
+  let minted = Obs.Profiler.enabled prof && V.causal_id t.vcpu = 0 in
+  if minted then Obs.Profiler.set_id prof ~vcpu:t.vcpu.V.id (Obs.Profiler.mint prof);
   let ts0 = Sevsnp.Vcpu.rdtsc t.vcpu in
-  if prof_on then
-    Obs.Profiler.push prof ~vcpu:vcpu_id ~vmpl:(T.vmpl_index (kernel_vmpl t)) ~ts:ts0 "syscall";
-  charge t C.Kernel C.syscall_base;
+  V.open_frame t.vcpu "syscall";
+  V.charge t.vcpu C.Kernel C.syscall_base;
   (* Execute-ahead auditing (§6.3): the record is built — and captured
      by the protect hook — *before* the event executes, so the log
      survives a compromise that happens at this very event. *)
   (if Audit.matches t.audit sys then begin
      let detail = audit_detail proc args in
-     charge t C.Kernel C.kaudit_format;
-     if prof_on then
-       Obs.Profiler.leaf prof ~vcpu:vcpu_id ~vmpl:(T.vmpl_index (kernel_vmpl t))
-         ~dur:C.kaudit_format "kaudit_format";
+     V.charge t.vcpu C.Kaudit_format C.kaudit_format;
      ignore (Audit.emit t.audit ~cycles:(Sevsnp.Vcpu.rdtsc t.vcpu) ~sys ~pid:proc.Process.pid ~detail)
    end);
   let ret = dispatch t proc sys args in
@@ -903,13 +896,11 @@ let invoke t proc sys args =
   Obs.Metrics.observe t.h_syscall_cycles dur;
   if Obs.Trace.enabled t.platform.P.tracer then
     Obs.Trace.complete t.platform.P.tracer ~bucket:"kernel" ~arg:(Sysno.number sys)
-      ~id:(Obs.Profiler.id prof ~vcpu:vcpu_id)
+      ~id:(V.causal_id t.vcpu)
       ~vcpu:t.vcpu.Sevsnp.Vcpu.id ~vmpl:(T.vmpl_index (kernel_vmpl t)) ~ts:ts0 ~dur
       Obs.Trace.Syscall;
-  if prof_on then begin
-    Obs.Profiler.pop prof ~vcpu:vcpu_id ~ts:(Sevsnp.Vcpu.rdtsc t.vcpu);
-    if minted then Obs.Profiler.set_id prof ~vcpu:vcpu_id 0
-  end;
+  V.close_frame t.vcpu;
+  if minted then Obs.Profiler.set_id prof ~vcpu:t.vcpu.V.id 0;
   ret
 
 

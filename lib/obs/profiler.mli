@@ -12,8 +12,10 @@
       flamegraph folded-stack text via {!Folded.render}.
 
     Leaves ({!leaf}) attribute a known duration under the current stack
-    without opening a frame — used for fixed-cost hardware legs
-    (VMGEXIT, VMSA save/restore, GHCB protocol, PVALIDATE, ...).
+    without opening a frame.  Their one caller is [Sevsnp.Vcpu.charge],
+    which credits every named cost leg (VMGEXIT, VMSA save/restore,
+    GHCB protocol, PVALIDATE, ...) and any work charged with no frame
+    open, so the ledger sums to the VCPU cycle counters.
 
     The profiler also carries one *causal trace id* per VCPU
     ({!mint}/{!set_id}/{!id}).  Ids are minted at request origins
@@ -41,7 +43,7 @@ val reset : t -> unit
     is unchanged); the id generator restarts at 1. *)
 
 val push : t -> vcpu:int -> vmpl:int -> ts:int -> string -> unit
-(** Open a frame named after its attribution bucket.  No-op while
+(** Open a frame named after the operation it brackets.  No-op while
     disabled; guard hot paths with {!enabled}. *)
 
 val pop : t -> vcpu:int -> ts:int -> unit

@@ -34,8 +34,6 @@ let starts_with ~prefix s =
 
 let is_memfs_path t path = List.exists (fun p -> starts_with ~prefix:p path) t.mounts
 
-let charge_compute t n = Runtime.compute t.rt n
-
 let ocalls_saved t = t.saved
 
 (* --- open/close --- *)
@@ -43,7 +41,7 @@ let ocalls_saved t = t.saved
 let fopen t path ~mode =
   if is_memfs_path t path then begin
     t.saved <- t.saved + 1 (* the open itself never leaves the enclave *);
-    charge_compute t 600;
+    Runtime.compute t.rt 600;
     let buf =
       match (Hashtbl.find_opt t.memfs path, mode) with
       | Some b, `Append -> b
@@ -100,7 +98,7 @@ let flush_wbuf t f =
     Buffer.clear f.wbuf;
     match f.backing with
     | Mem b ->
-        charge_compute t (C.copy_cost (Bytes.length data));
+        Runtime.compute t.rt (C.copy_cost (Bytes.length data));
         Buffer.add_bytes b data;
         Ok ()
     | Host fd -> (
@@ -113,7 +111,7 @@ let fwrite t f data =
   if f.closed then Error "stream closed"
   else if f.mode = `Read then Error "stream opened read-only"
   else begin
-    charge_compute t (120 + C.copy_cost (Bytes.length data));
+    Runtime.compute t.rt (120 + C.copy_cost (Bytes.length data));
     Buffer.add_bytes f.wbuf data;
     (* each buffered write that does not flush saves one redirection *)
     if Buffer.length f.wbuf < t.stdio_buffer then begin
@@ -132,7 +130,7 @@ let fill_rbuf t f =
       let n = min t.stdio_buffer (Buffer.length b - f.fpos) in
       if n <= 0 then Bytes.empty
       else begin
-        charge_compute t (C.copy_cost n);
+        Runtime.compute t.rt (C.copy_cost n);
         t.saved <- t.saved + 1;
         let out = Bytes.create n in
         Buffer.blit b f.fpos out 0 n;
@@ -169,7 +167,7 @@ let fread t f n =
       end
     in
     go ();
-    charge_compute t (60 + C.copy_cost (Buffer.length out));
+    Runtime.compute t.rt (60 + C.copy_cost (Buffer.length out));
     Ok (Buffer.to_bytes out)
   end
 

@@ -186,10 +186,10 @@ let arena_touch t len write =
   if t.arena_va <> 0 && len > 0 then begin
     let n = min len t.arena_bytes in
     if write then
-      Veil_core.Encsvc.write_mem_sub ~bucket:C.Copy t.sys.Veil_core.Boot.enc (vcpu t) t.enclave
+      Veil_core.Encsvc.write_mem_sub ~leg:C.Copy t.sys.Veil_core.Boot.enc (vcpu t) t.enclave
         ~va:t.arena_va t.arena_scratch 0 n
     else
-      Veil_core.Encsvc.read_mem_into ~bucket:C.Copy t.sys.Veil_core.Boot.enc (vcpu t) t.enclave
+      Veil_core.Encsvc.read_mem_into ~leg:C.Copy t.sys.Veil_core.Boot.enc (vcpu t) t.enclave
         ~va:t.arena_va t.arena_scratch 0 n;
     let marshal_extra = C.deep_copy_cost len - C.copy_cost n in
     Sevsnp.Vcpu.charge (vcpu t) C.Copy marshal_extra;
@@ -214,13 +214,7 @@ let ocall t sys args =
       ignore e;
       K.RErr K.EINVAL
   | Ok () ->
-      let prof = profiler t in
-      let prof_on = Obs.Profiler.enabled prof in
-      let vc = (vcpu t).Sevsnp.Vcpu.id in
-      if prof_on then
-        Obs.Profiler.push prof ~vcpu:vc
-          ~vmpl:(T.vmpl_index (Sevsnp.Vcpu.vmpl (vcpu t)))
-          ~ts:(Sevsnp.Vcpu.rdtsc (vcpu t)) "ocall";
+      Sevsnp.Vcpu.open_frame (vcpu t) "ocall";
       (* Deep-copy arguments into the untrusted arena (§6.2). *)
       let in_bytes = Spec.copy_in_bytes spec args in
       let sanitize_cost = 800 + (60 * List.length args) in
@@ -243,7 +237,7 @@ let ocall t sys args =
         | Ok () -> ret
         | Error _ -> K.RErr K.EFAULT
       in
-      if prof_on then Obs.Profiler.pop prof ~vcpu:vc ~ts:(Sevsnp.Vcpu.rdtsc (vcpu t));
+      Sevsnp.Vcpu.close_frame (vcpu t);
       result
 
 (* §10 batching: one exit amortized over the whole batch. *)

@@ -10,8 +10,6 @@ let bucket_index = function
   | Io -> 6
   | Other -> 7
 
-let buckets = [| Compute; Switch; Copy; Kernel; Monitor; Crypto; Io; Other |]
-
 let bucket_name = function
   | Compute -> "compute"
   | Switch -> "switch"
@@ -22,14 +20,48 @@ let bucket_name = function
   | Io -> "io"
   | Other -> "other"
 
+type leg =
+  | Compute | Switch | Copy | Kernel | Monitor | Crypto | Io | Other
+  | Vmgexit | Vmsa_save | Ghcb_protocol | Hv_relay | Vmenter | Vmsa_restore
+  | Rmpadjust | Rmpadjust_monitor | Pvalidate | Pvalidate_monitor | Pvalidate_kernel
+  | Npf | Kaudit_format
+
+let bucket_of_leg : leg -> bucket = function
+  | Compute -> Compute
+  | Switch | Vmgexit | Vmsa_save | Ghcb_protocol | Hv_relay | Vmenter | Vmsa_restore | Npf -> Switch
+  | Copy -> Copy
+  | Kernel | Pvalidate_kernel | Kaudit_format -> Kernel
+  | Monitor | Rmpadjust_monitor | Pvalidate_monitor -> Monitor
+  | Crypto -> Crypto
+  | Io -> Io
+  | Other | Rmpadjust | Pvalidate -> Other
+
+let is_work = function
+  | Compute | Switch | Copy | Kernel | Monitor | Crypto | Io | Other -> true
+  | _ -> false
+
+let leg_name = function
+  | Vmgexit -> "vmgexit"
+  | Vmsa_save -> "vmsa_save"
+  | Ghcb_protocol -> "ghcb_protocol"
+  | Hv_relay -> "hv_relay"
+  | Vmenter -> "vmenter"
+  | Vmsa_restore -> "vmsa_restore"
+  | Rmpadjust | Rmpadjust_monitor -> "rmpadjust"
+  | Pvalidate | Pvalidate_monitor | Pvalidate_kernel -> "pvalidate"
+  | Npf -> "npf"
+  | Kaudit_format -> "kaudit_format"
+  | work -> bucket_name (bucket_of_leg work)
+
 type counter = { mutable total : int; by : int array }
 
 let create_counter () = { total = 0; by = Array.make 8 0 }
 
-let charge c b n =
+let charge c leg n =
   assert (n >= 0);
+  let i = bucket_index (bucket_of_leg leg) in
   c.total <- c.total + n;
-  c.by.(bucket_index b) <- c.by.(bucket_index b) + n
+  c.by.(i) <- c.by.(i) + n
 
 let total c = c.total
 let read_bucket c b = c.by.(bucket_index b)
@@ -38,8 +70,6 @@ let reset c =
   c.total <- 0;
   Array.fill c.by 0 8 0
 
-let snapshot c = Array.to_list (Array.map (fun b -> (b, read_bucket c b)) buckets)
-
 let freq_hz = 2_400_000_000
 
 let seconds_of_cycles n = float_of_int n /. float_of_int freq_hz
@@ -47,15 +77,18 @@ let seconds_of_cycles n = float_of_int n /. float_of_int freq_hz
 (* Calibration anchors (§9.1): VMCALL round trip = 1100; full SNP
    domain switch = 7135, dominated by VMSA save/restore. *)
 let vmcall_roundtrip = 1100
-let automatic_exit = 550
-let vmsa_save = 2450
-let vmsa_restore = 2450
-let ghcb_msr_protocol = 200
-let hv_switch_logic = 935
 
-let domain_switch =
-  (* exit: base + state save + GHCB; host logic; enter: base + restore *)
-  automatic_exit + vmsa_save + ghcb_msr_protocol + hv_switch_logic + automatic_exit + vmsa_restore
+let switch_cost = function
+  | Vmgexit | Vmenter -> 550
+  | Vmsa_save | Vmsa_restore -> 2450
+  | Ghcb_protocol -> 200
+  | Hv_relay -> 935
+  | leg -> invalid_arg ("Cycles.switch_cost: not a world-switch leg: " ^ leg_name leg)
+
+(* exit: base + state save + GHCB; host logic; enter: base + restore *)
+let domain_switch_legs = [ Vmgexit; Vmsa_save; Ghcb_protocol; Hv_relay; Vmenter; Vmsa_restore ]
+
+let domain_switch = List.fold_left (fun acc leg -> acc + switch_cost leg) 0 domain_switch_legs
 
 (* RMPADJUST: instruction plus a one-time touch of the target frame
    (subsequent adjusts of the same frame hit the cache).  Veil's boot
@@ -91,14 +124,15 @@ let deep_copy_cost n = 12 * n
    pointer chasing, bounds checks): ~12 cycles/byte — what Fig. 5's
    lighttpd redirect share implies. *)
 
+(* Building one kaudit SYSCALL record (field formatting, context
+   capture); calibrated against Fig. 6's Kaudit bars. *)
 let kaudit_format = 11_000
 
 (* One Veil-Pulse epoch capture: a monitor-resident scan of the whole
    metrics registry into a preallocated snapshot plus the amortized
    digest/chain fold — no domain switch, no copies out of VMPL0. *)
 let pulse_sample = 600
-(* Building one kaudit SYSCALL record (field formatting, context
-   capture); calibrated against Fig. 6's Kaudit bars. *)
+
 let hash_cost n = 12 * n
 let cipher_cost n = 4 * n
 let io_cost n = 9000 + (n / 2) (* virtio request + DMA-ish per-byte *)

@@ -25,14 +25,38 @@ val bucket_name : bucket -> string
 (** Stable lower-case name ("compute", "switch", ...), used for trace
     attribution and metric labels. *)
 
+(** What a charge pays for: one of the eight work buckets, or a named
+    leg of the paper's §9.1 cost breakdown billed to a fixed bucket.
+    RMPADJUST and PVALIDATE name their issuer, which picks the bucket:
+    [_monitor] bills [Monitor], [Pvalidate_kernel] (a native VMPL-0
+    kernel) bills [Kernel], the bare leg bills [Other].  Constant
+    constructors only, so a charge never allocates. *)
+type leg =
+  | Compute | Switch | Copy | Kernel | Monitor | Crypto | Io | Other
+  | Vmgexit | Vmsa_save | Ghcb_protocol | Hv_relay | Vmenter | Vmsa_restore
+  | Rmpadjust | Rmpadjust_monitor | Pvalidate | Pvalidate_monitor | Pvalidate_kernel
+  | Npf | Kaudit_format
+
+val bucket_of_leg : leg -> bucket
+
+val leg_name : leg -> string
+(** Veil-Prof ledger name: the bucket name for a work leg, else the
+    step ("vmgexit", "vmsa_save", ...; "rmpadjust"/"pvalidate" for
+    every issuer). *)
+
+val is_work : leg -> bool
+
 type counter
 
 val create_counter : unit -> counter
-val charge : counter -> bucket -> int -> unit
+
+val charge : counter -> leg -> int -> unit
+(** Bump [leg]'s bucket.  Guest code spends cycles through
+    {!Vcpu.charge}, which also feeds the Veil-Prof ledger. *)
+
 val total : counter -> int
 val read_bucket : counter -> bucket -> int
 val reset : counter -> unit
-val snapshot : counter -> (bucket * int) list
 
 val freq_hz : int
 (** Guest clock: 2.4 GHz. *)
@@ -44,23 +68,19 @@ val seconds_of_cycles : int -> float
 val vmcall_roundtrip : int
 (** Non-SNP VM exit + resume (the paper's 1100-cycle baseline). *)
 
-val automatic_exit : int
-(** One direction of a legacy world switch. *)
+val switch_cost : leg -> int
+(** Calibrated cost of one world-switch leg: [Vmgexit] and [Vmenter]
+    550, [Vmsa_save] and [Vmsa_restore] 2450, [Ghcb_protocol] 200,
+    [Hv_relay] 935.  Raises [Invalid_argument] for any other leg. *)
 
-val vmsa_save : int
-(** Encrypt + store full VCPU state to the VMSA on VMGEXIT. *)
-
-val vmsa_restore : int
-(** Load + decrypt VCPU state from a VMSA on VMENTER. *)
-
-val ghcb_msr_protocol : int
-(** Writing the GHCB MSR and the request block. *)
-
-val hv_switch_logic : int
-(** Host-side handling of a domain-switch hypercall. *)
+val domain_switch_legs : leg list
+(** The legs of one hypervisor-relayed domain switch, in order:
+    vmgexit, vmsa_save, ghcb_protocol, hv_relay, vmenter,
+    vmsa_restore. *)
 
 val domain_switch : int
-(** Full hypervisor-relayed domain switch; calibrated to 7135. *)
+(** Full hypervisor-relayed domain switch, the sum of
+    {!domain_switch_legs}; calibrated to 7135. *)
 
 val rmpadjust_insn : int
 (** RMPADJUST instruction proper. *)

@@ -153,18 +153,11 @@ let raise_npf_at t vcpu info =
       ~vmpl:(Types.vmpl_index info.Types.fault_vmpl)
       ~ts ~arg:(Types.gpfn_of_gpa info.Types.fault_gpa) Obs.Trace.Npf
   end;
-  (if Obs.Profiler.enabled t.profiler then
-     match vcpu with
-     | Some v ->
-         (* #NPF halts the CVM; a zero-cycle leaf marks where under the
-            current attribution stack the fault landed. *)
-         Obs.Profiler.leaf t.profiler ~vcpu:v.Vcpu.id
-           ~vmpl:(Types.vmpl_index info.Types.fault_vmpl) ~dur:0 "npf"
-     | None -> ());
+  (* #NPF halts the CVM; a zero-cycle charge marks where under the
+     current attribution stack the fault landed. *)
+  Option.iter (fun v -> Vcpu.charge v Cycles.Npf 0) vcpu;
   t.halted <- Some (Format.asprintf "%a" Types.pp_npf info);
   raise (Types.Npf info)
-
-let raise_npf t info = raise_npf_at t None info
 
 (* --- launch --- *)
 
@@ -184,7 +177,7 @@ let launch_load t ~entry_name segments =
   Attestation.record_launch t.attestation ~measurement:(Veil_crypto.Measurement.digest m)
 
 let add_vcpu t =
-  let v = Vcpu.create ~id:t.nvcpus ~tlb_gen:(Rmp.generation t.rmp) in
+  let v = Vcpu.create ~id:t.nvcpus ~tlb_gen:(Rmp.generation t.rmp) ~prof:t.profiler in
   t.vcpus_rev <- v :: t.vcpus_rev;
   t.nvcpus <- t.nvcpus + 1;
   v
@@ -225,8 +218,7 @@ let tlb_shootdown_distributed t ~initiator =
            ([Cycles.ipi_ack], the tail of the interval Ipi.send
            charged). *)
         if Obs.Trace.enabled t.tracer then
-          Obs.Trace.complete t.tracer ~bucket:"kernel"
-            ~id:(Obs.Profiler.id t.profiler ~vcpu:initiator.Vcpu.id)
+          Obs.Trace.complete t.tracer ~bucket:"kernel" ~id:(Vcpu.causal_id initiator)
             ~vcpu:initiator.Vcpu.id ~vmpl:(Types.vmpl_index (Vcpu.vmpl initiator))
             ~ts:(Vcpu.rdtsc initiator - Cycles.ipi_ack) ~dur:Cycles.ipi_ack
             (Obs.Trace.Wait Obs.Trace.Shootdown_ack)
@@ -380,40 +372,24 @@ let read_u64_via_pt t vcpu ~root va =
     !v land max_int
   end
 
-let write_u64_via_pt t vcpu ~root va v =
-  check_running t;
-  if Types.page_offset va <= Types.page_size - 8 then begin
-    let gpfn = tlb_translate t vcpu ~root va Types.Write in
-    Phys_mem.write_u64 t.mem (Types.gpa_of_gpfn gpfn + Types.page_offset va) v
-  end
-  else
-    for i = 0 to 7 do
-      let a = va + i in
-      let gpfn = tlb_translate t vcpu ~root a Types.Write in
-      Phys_mem.write_byte t.mem (Types.gpa_of_gpfn gpfn + Types.page_offset a) ((v lsr (8 * i)) land 0xff)
-    done
-
 let check_exec_via_pt t vcpu ~root va =
   check_running t;
   ignore (tlb_translate t vcpu ~root va Types.Execute)
 
 (* --- instructions --- *)
 
-let rmpadjust t vcpu ?(bucket = Cycles.Other) ~gpfn ~target ~perms ~vmsa () =
+let rmpadjust t vcpu ~leg ~gpfn ~target ~perms ~vmsa =
   check_running t;
   let touch =
     if gpfn >= 0 && gpfn < Rmp.npages t.rmp && Rmp.touch t.rmp gpfn then Cycles.rmpadjust_page_touch
     else 0
   in
-  Vcpu.charge vcpu bucket (Cycles.rmpadjust_insn + touch);
+  Vcpu.charge vcpu leg (Cycles.rmpadjust_insn + touch);
   Obs.Metrics.incr t.c_rmpadjust;
   if Obs.Trace.enabled t.tracer then
     Obs.Trace.emit t.tracer ~vcpu:vcpu.Vcpu.id ~vmpl:(Types.vmpl_index (Vcpu.vmpl vcpu))
-      ~ts:(Vcpu.rdtsc vcpu) ~bucket:(Cycles.bucket_name bucket) ~arg:gpfn
-      ~id:(Obs.Profiler.id t.profiler ~vcpu:vcpu.Vcpu.id) Obs.Trace.Rmpadjust;
-  if Obs.Profiler.enabled t.profiler then
-    Obs.Profiler.leaf t.profiler ~vcpu:vcpu.Vcpu.id ~vmpl:(Types.vmpl_index (Vcpu.vmpl vcpu))
-      ~dur:(Cycles.rmpadjust_insn + touch) "rmpadjust";
+      ~ts:(Vcpu.rdtsc vcpu) ~bucket:(Cycles.bucket_name (Cycles.bucket_of_leg leg)) ~arg:gpfn
+      ~id:(Vcpu.causal_id vcpu) Obs.Trace.Rmpadjust;
   (* The page touch: a caller that cannot read the frame faults. *)
   let caller = Vcpu.vmpl vcpu in
   (match Rmp.check_guest_access t.rmp ~gpfn ~vmpl:caller ~cpl:Types.Cpl0 ~access:Types.Read with
@@ -424,7 +400,7 @@ let rmpadjust t vcpu ?(bucket = Cycles.Other) ~gpfn ~target ~perms ~vmsa () =
       (* a *resumable* #NPF: the host swapped the backing frame out and
          in again, so the guest pays an exit and hardware re-executes
          the instruction — extra cycles, then the op completes *)
-      Vcpu.charge vcpu Cycles.Switch Cycles.npf_exit;
+      Vcpu.charge vcpu Cycles.Npf Cycles.npf_exit;
       chaos_mark t (Some vcpu) "spurious_npf"
   | _ -> ());
   match t.chaos with
@@ -437,17 +413,14 @@ let rmpadjust t vcpu ?(bucket = Cycles.Other) ~gpfn ~target ~perms ~vmsa () =
       if r = Ok () then Obs.Metrics.incr t.c_tlb_flush;
       r
 
-let pvalidate t vcpu ?(bucket = Cycles.Other) ~gpfn ~to_private () =
+let pvalidate t vcpu ~leg ~gpfn ~to_private =
   check_running t;
-  Vcpu.charge vcpu bucket Cycles.pvalidate;
+  Vcpu.charge vcpu leg Cycles.pvalidate;
   Obs.Metrics.incr t.c_pvalidate;
   if Obs.Trace.enabled t.tracer then
     Obs.Trace.emit t.tracer ~vcpu:vcpu.Vcpu.id ~vmpl:(Types.vmpl_index (Vcpu.vmpl vcpu))
-      ~ts:(Vcpu.rdtsc vcpu) ~bucket:(Cycles.bucket_name bucket) ~arg:gpfn
-      ~id:(Obs.Profiler.id t.profiler ~vcpu:vcpu.Vcpu.id) Obs.Trace.Pvalidate;
-  if Obs.Profiler.enabled t.profiler then
-    Obs.Profiler.leaf t.profiler ~vcpu:vcpu.Vcpu.id ~vmpl:(Types.vmpl_index (Vcpu.vmpl vcpu))
-      ~dur:Cycles.pvalidate "pvalidate";
+      ~ts:(Vcpu.rdtsc vcpu) ~bucket:(Cycles.bucket_name (Cycles.bucket_of_leg leg)) ~arg:gpfn
+      ~id:(Vcpu.causal_id vcpu) Obs.Trace.Pvalidate;
   match t.chaos with
   | Some plan when Chaos.Fault_plan.fire plan Chaos.Fault_plan.Pvalidate_fail ->
       chaos_mark t (Some vcpu) "pvalidate_fail";
@@ -508,7 +481,9 @@ let chaos_step t =
       if not (Chaos.Fault_plan.step plan) then
         halt t "chaos watchdog: step budget exceeded"
 
-let vmgexit t vcpu =
+(* Every world exit, GHCB request or interrupt relay, takes this one
+   path; [ghcb] adds the GHCB leg and picks the trace [arg]. *)
+let vmgexit t vcpu ~ghcb =
   check_running t;
   chaos_step t;
   vcpu.Vcpu.last_exit_ts <- Vcpu.rdtsc vcpu;
@@ -521,50 +496,16 @@ let vmgexit t vcpu =
   Obs.Metrics.incr t.c_vmgexit;
   if Obs.Trace.enabled t.tracer then
     Obs.Trace.emit t.tracer ~vcpu:vcpu.Vcpu.id ~vmpl:(Types.vmpl_index (Vcpu.vmpl vcpu))
-      ~ts:vcpu.Vcpu.last_exit_ts ~bucket:"switch" ~arg:0
-      ~id:(Obs.Profiler.id t.profiler ~vcpu:vcpu.Vcpu.id) Obs.Trace.Vmgexit;
-  Vcpu.charge vcpu Cycles.Switch (Cycles.automatic_exit + Cycles.vmsa_save + Cycles.ghcb_msr_protocol);
-  (* The combined exit charge, attributed leg by leg (paper §9.1). *)
-  if Obs.Profiler.enabled t.profiler then begin
-    let vmpl = Types.vmpl_index (Vcpu.vmpl vcpu) in
-    Obs.Profiler.leaf t.profiler ~vcpu:vcpu.Vcpu.id ~vmpl ~dur:Cycles.automatic_exit "vmgexit";
-    Obs.Profiler.leaf t.profiler ~vcpu:vcpu.Vcpu.id ~vmpl ~dur:Cycles.vmsa_save "vmsa_save";
-    Obs.Profiler.leaf t.profiler ~vcpu:vcpu.Vcpu.id ~vmpl ~dur:Cycles.ghcb_msr_protocol
-      "ghcb_protocol"
-  end;
-  vcpu.Vcpu.exits <- vcpu.Vcpu.exits + 1;
-  dispatch_exit t vcpu
-
-let automatic_exit t vcpu =
-  check_running t;
-  chaos_step t;
-  vcpu.Vcpu.last_exit_ts <- Vcpu.rdtsc vcpu;
-  if Obs.Pulse.tick t.pulse ~now:vcpu.Vcpu.last_exit_ts then
-    Vcpu.charge vcpu Cycles.Monitor Cycles.pulse_sample;
-  Obs.Metrics.incr t.c_vmgexit;
-  if Obs.Trace.enabled t.tracer then
-    Obs.Trace.emit t.tracer ~vcpu:vcpu.Vcpu.id ~vmpl:(Types.vmpl_index (Vcpu.vmpl vcpu))
-      ~ts:vcpu.Vcpu.last_exit_ts ~bucket:"switch" ~arg:1
-      ~id:(Obs.Profiler.id t.profiler ~vcpu:vcpu.Vcpu.id) Obs.Trace.Vmgexit;
-  Vcpu.charge vcpu Cycles.Switch (Cycles.automatic_exit + Cycles.vmsa_save);
-  (* Same exit leg as VMGEXIT, minus the GHCB MSR protocol. *)
-  if Obs.Profiler.enabled t.profiler then begin
-    let vmpl = Types.vmpl_index (Vcpu.vmpl vcpu) in
-    Obs.Profiler.leaf t.profiler ~vcpu:vcpu.Vcpu.id ~vmpl ~dur:Cycles.automatic_exit "vmgexit";
-    Obs.Profiler.leaf t.profiler ~vcpu:vcpu.Vcpu.id ~vmpl ~dur:Cycles.vmsa_save "vmsa_save"
-  end;
+      ~ts:vcpu.Vcpu.last_exit_ts ~bucket:"switch" ~arg:(if ghcb then 0 else 1)
+      ~id:(Vcpu.causal_id vcpu) Obs.Trace.Vmgexit;
+  Vcpu.charge vcpu Cycles.Vmgexit (Cycles.switch_cost Cycles.Vmgexit);
+  Vcpu.charge vcpu Cycles.Vmsa_save (Cycles.switch_cost Cycles.Vmsa_save);
+  if ghcb then Vcpu.charge vcpu Cycles.Ghcb_protocol (Cycles.switch_cost Cycles.Ghcb_protocol);
   vcpu.Vcpu.exits <- vcpu.Vcpu.exits + 1;
   dispatch_exit t vcpu
 
 let vmenter t vcpu vmsa =
   check_running t;
-  Vcpu.charge vcpu Cycles.Switch (Cycles.automatic_exit + Cycles.vmsa_restore);
-  if Obs.Profiler.enabled t.profiler then begin
-    (* Entry legs, attributed to the instance being entered. *)
-    let vmpl = Types.vmpl_index vmsa.Vmsa.vmpl in
-    Obs.Profiler.leaf t.profiler ~vcpu:vcpu.Vcpu.id ~vmpl ~dur:Cycles.automatic_exit "vmenter";
-    Obs.Profiler.leaf t.profiler ~vcpu:vcpu.Vcpu.id ~vmpl ~dur:Cycles.vmsa_restore "vmsa_restore"
-  end;
   (* Instance switch (the VMPL/domain switch of the paper) flushes this
      CPU's TLB; re-entering the same instance (same ASID) keeps it. *)
   (match vcpu.Vcpu.current with
@@ -573,11 +514,14 @@ let vmenter t vcpu vmsa =
       Tlb.flush vcpu.Vcpu.tlb;
       Obs.Metrics.incr t.c_tlb_flush);
   vcpu.Vcpu.current <- Some vmsa;
+  (* Entry legs, billed to the instance being entered. *)
+  Vcpu.charge vcpu Cycles.Vmenter (Cycles.switch_cost Cycles.Vmenter);
+  Vcpu.charge vcpu Cycles.Vmsa_restore (Cycles.switch_cost Cycles.Vmsa_restore);
   Obs.Metrics.incr t.c_vmenter;
   if Obs.Trace.enabled t.tracer then
     Obs.Trace.emit t.tracer ~vcpu:vcpu.Vcpu.id ~vmpl:(Types.vmpl_index vmsa.Vmsa.vmpl)
       ~ts:(Vcpu.rdtsc vcpu) ~bucket:"switch"
-      ~id:(Obs.Profiler.id t.profiler ~vcpu:vcpu.Vcpu.id) Obs.Trace.Vmenter
+      ~id:(Vcpu.causal_id vcpu) Obs.Trace.Vmenter
 
 let install_vmsa t (vmsa : Vmsa.t) =
   (* Hardware accepts a frame as a VMSA only once RMPADJUST marked it. *)

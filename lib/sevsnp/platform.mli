@@ -28,10 +28,11 @@ type t = {
   tracer : Obs.Trace.t;  (** this machine's event tracer (off by default) *)
   profiler : Obs.Profiler.t;
       (** this machine's cycle-attribution profiler (off by default);
-          the platform charges the hardware legs — VMGEXIT, VMSA
-          save/restore, GHCB protocol, RMPADJUST, PVALIDATE — as
-          profiler leaves, and upper layers (hypervisor, kernel,
-          monitor, SDK) open the surrounding frames *)
+          every VCPU's {!Vcpu.charge} feeds its ledger — the platform's
+          hardware legs (VMGEXIT, VMSA save/restore, GHCB protocol,
+          RMPADJUST, PVALIDATE) land as leaves — and upper layers
+          (hypervisor, kernel, monitor, SDK) open the surrounding
+          frames *)
   pulse : Obs.Pulse.t;
       (** Veil-Pulse epoch sampler, disarmed by default; [tick]ed on
           every world exit right after the chaos watchdog, so armed it
@@ -175,8 +176,6 @@ val read_u64_via_pt : t -> Vcpu.t -> root:Types.gpfn -> Types.va -> int
 (** Translated u64 load.  On a TLB hit this is allocation-free: probe,
     cached permission evaluation, direct arena load. *)
 
-val write_u64_via_pt : t -> Vcpu.t -> root:Types.gpfn -> Types.va -> int -> unit
-
 val check_exec_via_pt : t -> Vcpu.t -> root:Types.gpfn -> Types.va -> unit
 (** Instruction-fetch check through the translation path (faults like
     {!read_via_pt} but with [Execute] semantics — shared pages and NX
@@ -193,21 +192,25 @@ val raw_pt_read : t -> Types.gpa -> int
 val rmpadjust :
   t ->
   Vcpu.t ->
-  ?bucket:Cycles.bucket ->
+  leg:Cycles.leg ->
   gpfn:Types.gpfn ->
   target:Types.vmpl ->
   perms:Perm.t ->
   vmsa:bool ->
-  unit ->
   (unit, string) result
-(** RMPADJUST.  Charges instruction + page-touch cycles.  Attempting to
+(** RMPADJUST.  Charges instruction + page-touch cycles to [leg], one
+    of the RMPADJUST legs, which names the issuer ([Rmpadjust_monitor]
+    for VeilMon, [Rmpadjust] otherwise).  Attempting to
     adjust a frame the caller cannot itself read raises #NPF and halts
     (the paper's Dom_UNT attack outcome); an insufficient-privilege
     target VMPL returns [Error] (architectural FAIL_PERMISSION). *)
 
-val pvalidate : t -> Vcpu.t -> ?bucket:Cycles.bucket -> gpfn:Types.gpfn -> to_private:bool -> unit -> (unit, string) result
-(** PVALIDATE; VMPL-0 only (lower VMPLs get FAIL_PERMISSION — the
-    architectural restriction behind Veil's delegation, §5.3). *)
+val pvalidate : t -> Vcpu.t -> leg:Cycles.leg -> gpfn:Types.gpfn -> to_private:bool -> (unit, string) result
+(** PVALIDATE, charged to [leg], one of the PVALIDATE legs, which
+    names the issuer ([Pvalidate_monitor], [Pvalidate_kernel] for a
+    native VMPL-0 kernel, [Pvalidate] otherwise).  VMPL-0 only (lower
+    VMPLs get FAIL_PERMISSION — the architectural restriction behind
+    Veil's delegation, §5.3). *)
 
 val set_ghcb : t -> Vcpu.t -> Types.gpa -> (unit, string) result
 (** Write the GHCB MSR for the *current instance*.  The page must be
@@ -221,12 +224,11 @@ val register_ghcb : t -> Types.gpa -> (Ghcb.t, string) result
 val ghcb_of_vcpu : t -> Vcpu.t -> Ghcb.t option
 val ghcb_at : t -> Types.gpfn -> Ghcb.t option
 
-val vmgexit : t -> Vcpu.t -> unit
-(** Non-automatic exit: charges the save-side switch cost and invokes
-    the hypervisor's exit handler. *)
-
-val automatic_exit : t -> Vcpu.t -> unit
-(** Interrupt-style exit (no GHCB): cheaper save side, same handler. *)
+val vmgexit : t -> Vcpu.t -> ghcb:bool -> unit
+(** World exit to the hypervisor's exit handler: charges the exit and
+    VMSA-save legs, plus the GHCB-protocol leg when [ghcb] (a guest
+    VMGEXIT request).  [~ghcb:false] is the automatic exit taken to
+    relay an interrupt; its [Vmgexit] trace event carries [arg = 1]. *)
 
 val vmenter : t -> Vcpu.t -> Vmsa.t -> unit
 (** Hypervisor resumes the VCPU with [vmsa] as the running instance. *)
@@ -239,9 +241,6 @@ val install_vmsa : t -> Vmsa.t -> (unit, string) result
 val vmsa_at : t -> Types.gpfn -> Vmsa.t option
 (** Hardware lookup used by the hypervisor at VMRUN; [None] when the
     frame is not a valid VMSA (the spawn-VCPU attack of Table 1). *)
-
-val raise_npf : t -> Types.npf_info -> 'a
-(** Record the fault, halt the CVM and raise {!Types.Npf}. *)
 
 (* Host-side (hypervisor / external) memory access *)
 

@@ -142,7 +142,7 @@ let test_policy_blocks_errant_switch () =
       let ghcb = Option.get (P.ghcb_of_vcpu platform vcpu) in
       ghcb.Sevsnp.Ghcb.request <- Sevsnp.Ghcb.Req_domain_switch { target_vmpl = T.Vmpl0 };
       (try
-         P.vmgexit platform vcpu;
+         P.vmgexit platform vcpu ~ghcb:true;
          Alcotest.fail "errant switch was allowed"
        with T.Cvm_halted _ -> ());
       Alcotest.(check bool) "CVM halted" true (P.is_halted platform <> None)
@@ -153,7 +153,7 @@ let test_policy_config_requires_vmpl0 () =
   let ghcb = Guest_kernel.Kernel.ghcb sys.Veil_core.Boot.kernel in
   ghcb.Sevsnp.Ghcb.request <-
     Sevsnp.Ghcb.Req_set_switch_policy { ghcb_gpfn = 0; allowed = [ (T.Vmpl3, T.Vmpl0) ] };
-  P.vmgexit sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu;
+  P.vmgexit sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu ~ghcb:true;
   Alcotest.(check int) "hypervisor refused" 1 ghcb.Sevsnp.Ghcb.response
 
 let test_host_cannot_read_private () =
@@ -167,7 +167,7 @@ let test_io_request () =
   let before = (Hv.stats sys.Veil_core.Boot.hv).Hv.io_requests in
   let ghcb = Guest_kernel.Kernel.ghcb sys.Veil_core.Boot.kernel in
   ghcb.Sevsnp.Ghcb.request <- Sevsnp.Ghcb.Req_io { write = true; port = 1; len = 512 };
-  P.vmgexit sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu;
+  P.vmgexit sys.Veil_core.Boot.platform sys.Veil_core.Boot.vcpu ~ghcb:true;
   Alcotest.(check int) "io handled" (before + 1) (Hv.stats sys.Veil_core.Boot.hv).Hv.io_requests;
   Alcotest.(check int) "acked" 0 ghcb.Sevsnp.Ghcb.response
 

@@ -278,7 +278,7 @@ let test_platform_checked_access () =
 
 let test_platform_pvalidate_restriction () =
   let p, hv, vcpu = mk_platform () in
-  (match P.pvalidate p vcpu ~gpfn:20 ~to_private:true () with
+  (match P.pvalidate p vcpu ~leg:Sevsnp.Cycles.Pvalidate ~gpfn:20 ~to_private:true with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   (* create and enter a vmpl3 instance, then pvalidate must fail *)
@@ -288,7 +288,7 @@ let test_platform_pvalidate_restriction () =
   (match P.install_vmsa p vmsa3 with Ok () -> () | Error e -> Alcotest.fail e);
   ignore hv;
   P.vmenter p vcpu vmsa3;
-  (match P.pvalidate p vcpu ~gpfn:21 ~to_private:true () with
+  (match P.pvalidate p vcpu ~leg:Sevsnp.Cycles.Pvalidate ~gpfn:21 ~to_private:true with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "PVALIDATE must require VMPL-0")
 
@@ -298,7 +298,7 @@ let test_platform_ghcb () =
   (match P.set_ghcb p vcpu (30 * T.page_size) with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "GHCB on invalid page must fail");
-  (match P.pvalidate p vcpu ~gpfn:30 ~to_private:false () with Ok () -> () | Error e -> Alcotest.fail e);
+  (match P.pvalidate p vcpu ~leg:Sevsnp.Cycles.Pvalidate ~gpfn:30 ~to_private:false with Ok () -> () | Error e -> Alcotest.fail e);
   (match P.set_ghcb p vcpu (30 * T.page_size) with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
@@ -309,7 +309,7 @@ let test_platform_host_access () =
   (match P.host_read p 0 16 with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "host read of private memory must fail");
-  (match P.pvalidate p vcpu ~gpfn:31 ~to_private:false () with Ok () -> () | Error e -> Alcotest.fail e);
+  (match P.pvalidate p vcpu ~leg:Sevsnp.Cycles.Pvalidate ~gpfn:31 ~to_private:false with Ok () -> () | Error e -> Alcotest.fail e);
   (match P.host_write p (31 * T.page_size) (Bytes.of_string "host") with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
@@ -405,7 +405,7 @@ let test_tlb_stale_pvalidate () =
   (* warm with an instruction fetch: private page, VMPL0 may execute *)
   P.check_exec_via_pt p vcpu ~root:tlb_root tlb_va;
   (* guest gives the page back to the host *)
-  (match P.pvalidate p vcpu ~gpfn:data_gpfn ~to_private:false () with
+  (match P.pvalidate p vcpu ~leg:Sevsnp.Cycles.Pvalidate ~gpfn:data_gpfn ~to_private:false with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   try

@@ -25,4 +25,5 @@ let () =
       ("pulse", T_pulse.suite);
       ("explore", T_explore.suite);
       ("fleet", T_fleet.suite);
+      ("ledger", T_ledger.suite);
     ]
