@@ -46,68 +46,63 @@ let rings = ref false
 let pulse = ref false
 let pulse_interval = 400_000
 
-let recorded : (string * D.stats) list ref = ref []
+(* One JSON record per run, newest first, for each array of the
+   [emit_json] document. *)
+let recorded : Obs.Json.t list ref = ref []
 
 let record ~experiment (s : D.stats) =
-  if !json_mode then recorded := (experiment, s) :: !recorded;
+  if !json_mode then
+    recorded :=
+      Obj
+        [ ("experiment", String experiment); ("workload", String s.D.workload);
+          ("mode", String (D.mode_to_string s.D.mode)); ("cycles", Int s.D.cycles);
+          ("seconds", Fixed (6, s.D.seconds)); ("compute_cycles", Int s.D.compute_cycles);
+          ("kernel_cycles", Int s.D.kernel_cycles); ("switch_cycles", Int s.D.switch_cycles);
+          ("copy_cycles", Int s.D.copy_cycles); ("monitor_cycles", Int s.D.monitor_cycles);
+          ("crypto_cycles", Int s.D.crypto_cycles); ("io_cycles", Int s.D.io_cycles);
+          ("syscalls", Int s.D.syscalls); ("vm_exits", Int s.D.vm_exits);
+          ("domain_switches", Int s.D.domain_switches); ("audit_records", Int s.D.audit_records);
+          ("log_appends", Int s.D.log_appends) ]
+      :: !recorded;
   s
-
-let stats_json (experiment, (s : D.stats)) =
-  Printf.sprintf
-    "{\"experiment\":\"%s\",\"workload\":\"%s\",\"mode\":\"%s\",\"cycles\":%d,\"seconds\":%.6f,\
-     \"compute_cycles\":%d,\"kernel_cycles\":%d,\"switch_cycles\":%d,\"copy_cycles\":%d,\
-     \"monitor_cycles\":%d,\"crypto_cycles\":%d,\"io_cycles\":%d,\"syscalls\":%d,\"vm_exits\":%d,\
-     \"domain_switches\":%d,\"audit_records\":%d,\"log_appends\":%d}"
-    (Obs.Metrics.json_escape experiment)
-    (Obs.Metrics.json_escape s.D.workload)
-    (D.mode_to_string s.D.mode) s.D.cycles s.D.seconds s.D.compute_cycles s.D.kernel_cycles
-    s.D.switch_cycles s.D.copy_cycles s.D.monitor_cycles s.D.crypto_cycles s.D.io_cycles
-    s.D.syscalls s.D.vm_exits s.D.domain_switches s.D.audit_records s.D.log_appends
 
 (* Micro-benchmark results (bench/micro.ml) ride along in the same
    JSON document as ns-per-run estimates. *)
-let micro_recorded : (string * float) list ref = ref []
+let micro_recorded : Obs.Json.t list ref = ref []
 
 let record_micro ~name ~ns_per_run =
-  if !json_mode then micro_recorded := (name, ns_per_run) :: !micro_recorded
+  if !json_mode then
+    micro_recorded :=
+      Obj [ ("name", String name); ("ns_per_run", Fixed (1, ns_per_run)) ] :: !micro_recorded
 
-let micro_json (name, ns) =
-  Printf.sprintf "{\"name\":\"%s\",\"ns_per_run\":%.1f}" (Obs.Metrics.json_escape name) ns
+(* E-scale results ride along too: one record per (bench, vcpu count).
+   The "pulse" key is present only for pulse-armed runs, so pulse-off
+   JSON stays byte-compatible with earlier baselines. *)
+let escale_recorded : Obs.Json.t list ref = ref []
 
-(* E-scale results ride along too: one record per (bench, vcpu count). *)
-let escale_recorded : (string * int * int * float * float * bool * string) list ref = ref []
-
-(* The per-interval pulse timeseries JSON is built by
-   [Workloads.Escale.pulse_json] ("" / omitted key when the run was
-   pulse-less, so pulse-off JSON stays byte-compatible with earlier
-   PRs). *)
 let record_escale ~bench ~nvcpus ~ops ~ops_per_s ~serialized_pct ~pulse_series =
   if !json_mode then
     escale_recorded :=
-      (bench, nvcpus, ops, ops_per_s, serialized_pct, !rings, pulse_series) :: !escale_recorded
-
-let escale_json (bench, nvcpus, ops, ops_per_s, serialized_pct, ringed, pulse_series) =
-  Printf.sprintf
-    "{\"bench\":\"%s\",\"vcpus\":%d,\"ops\":%d,\"ops_per_s\":%.1f,\"serialized_pct\":%.1f,\
-     \"rings\":%b%s}"
-    (Obs.Metrics.json_escape bench) nvcpus ops ops_per_s serialized_pct ringed
-    (if pulse_series = "" then "" else ",\"pulse\":" ^ pulse_series)
+      Obj
+        ([ ("bench", Obs.Json.String bench); ("vcpus", Int nvcpus); ("ops", Int ops);
+           ("ops_per_s", Fixed (1, ops_per_s)); ("serialized_pct", Fixed (1, serialized_pct));
+           ("rings", Bool !rings) ]
+        @ match pulse_series with Some p -> [ ("pulse", p) ] | None -> [])
+      :: !escale_recorded
 
 (* E-fleet runs record their full fleet reports here (see [efleet]
-   below); declared alongside the other accumulators so [emit_json]
-   stays the single JSON emitter. *)
-let efleet_recorded : string list ref = ref []
+   below). *)
+let efleet_recorded : Obs.Json.t list ref = ref []
 
 let emit_json () =
   if !json_mode then
-    Printf.printf
-      "\n{\"seed\":%d,\"veil_bench\":[%s],\"veil_micro\":[%s],\"veil_escale\":[%s],\
-       \"veil_efleet\":[%s]}\n"
-      !seed
-      (String.concat "," (List.rev_map stats_json !recorded))
-      (String.concat "," (List.rev_map micro_json !micro_recorded))
-      (String.concat "," (List.rev_map escale_json !escale_recorded))
-      (String.concat "," (List.rev !efleet_recorded))
+    Printf.printf "\n%s\n"
+      (Obs.Json.to_string
+         (Obj
+            [ ("seed", Int !seed); ("veil_bench", List (List.rev !recorded));
+              ("veil_micro", List (List.rev !micro_recorded));
+              ("veil_escale", List (List.rev !escale_recorded));
+              ("veil_efleet", List (List.rev !efleet_recorded)) ]))
 
 (* --- E1: initialization time (§9.1) --- *)
 
@@ -524,7 +519,7 @@ let escale () =
         let ser = Es.serialized_pct r in
         record_escale ~bench:name ~nvcpus:nv ~ops:r.Es.es_ops ~ops_per_s:tp
           ~serialized_pct:ser
-          ~pulse_series:(if !pulse then Workloads.Escale.pulse_json sys else "");
+          ~pulse_series:(if !pulse then Some (Workloads.Escale.pulse_json sys) else None);
         if !pulse then begin
           let pu = sys.Veil_core.Boot.platform.P.pulse in
           Printf.printf "  pulse @%d VCPUs: %d intervals captured (%d retained), %d anchors\n" nv
@@ -592,10 +587,9 @@ let escale () =
 let record_efleet ~label ~util (r : Fleet.report) =
   if !json_mode then
     efleet_recorded :=
-      Printf.sprintf "{\"label\":\"%s\",\"guests\":%d,\"util\":%.2f,\"report\":%s}"
-        (Obs.Metrics.json_escape label)
-        (Array.length r.Fleet.r_guests)
-        util (Fleet.report_json r)
+      Obj
+        [ ("label", String label); ("guests", Int (Array.length r.Fleet.r_guests));
+          ("util", Fixed (2, util)); ("report", Fleet.report_json r) ]
       :: !efleet_recorded
 
 let efleet ?(scale = 1) () =
@@ -683,7 +677,7 @@ let efleet ?(scale = 1) () =
   (* per-guest seeds + replay identity on the headline cell *)
   let headline = { co_cfg with process = Fleet.Arrival.Poisson { rate = rate06 } } in
   let r1 = Fleet.run headline and r2 = Fleet.run headline in
-  if Fleet.report_json r1 <> Fleet.report_json r2 then
+  if Obs.Json.(to_string (Fleet.report_json r1) <> to_string (Fleet.report_json r2)) then
     failwith "E-fleet: same config produced a different report";
   Printf.printf "\nreplay: per-guest seeds [%s] reproduce the report byte-for-byte — OK\n"
     (String.concat ";"

@@ -1049,17 +1049,18 @@ let pulse_cmd =
     let verify = Obs.Pulse.verify_export pu exported in
     let anchors = List.length (Veil_core.Boot.pulse_anchor_lines sys) in
     if json then begin
+      let verify_json : Obs.Json.t =
+        match verify with
+        | Ok n -> Obj [ ("ok", Bool true); ("intervals", Int n) ]
+        | Error (i, reason) -> Obj [ ("ok", Bool false); ("interval", Int i); ("reason", String reason) ]
+      in
       let doc =
-        Printf.sprintf
-          "{\"workload\":\"%s\",\"vcpus\":%d,\"ops\":%d,\"seed\":%d,\"verify\":%s,\
-           \"anchors\":%d,\"pulse\":%s}\n"
-          name nvcpus r.Es.es_ops seed
-          (match verify with
-          | Ok n -> Printf.sprintf "{\"ok\":true,\"intervals\":%d}" n
-          | Error (i, reason) ->
-              Printf.sprintf "{\"ok\":false,\"interval\":%d,\"reason\":\"%s\"}" i
-                (Obs.Metrics.json_escape reason))
-          anchors (Es.pulse_json sys)
+        Obs.Json.to_string
+          (Obj
+             [ ("workload", String name); ("vcpus", Int nvcpus); ("ops", Int r.Es.es_ops);
+               ("seed", Int seed); ("verify", verify_json); ("anchors", Int anchors);
+               ("pulse", Es.pulse_json sys) ])
+        ^ "\n"
       in
       if out = "-" then print_string doc
       else begin
@@ -1091,9 +1092,9 @@ let pulse_cmd =
             match Obs.Pulse.hist_window pu ~metric:"kernel.syscall_cycles" ~window:1 ~upto:i with
             | Some (b, n, _) ->
                 ( i, t1, n,
-                  Obs.Pulse.wpercentile ~buckets:b 50.0,
-                  Obs.Pulse.wpercentile ~buckets:b 99.0,
-                  Obs.Pulse.wpercentile ~buckets:b 99.9 )
+                  Obs.Metrics.bucket_percentile ~buckets:b 50.0,
+                  Obs.Metrics.bucket_percentile ~buckets:b 99.0,
+                  Obs.Metrics.bucket_percentile ~buckets:b 99.9 )
             | None -> (i, t1, 0, 0, 0, 0))
       in
       let peak = List.fold_left (fun m (_, _, n, _, _, _) -> max m n) 1 series in
@@ -1143,98 +1144,6 @@ let pulse_cmd =
 
 (* --- bench: trajectory regression gate against a recorded baseline --- *)
 
-(* Targeted extraction from the bench JSON document (no JSON library
-   in the dependency set): bracket-depth scan for the "veil_escale"
-   array, then per-entry field grabs. *)
-let json_escale_entries doc =
-  let key = "\"veil_escale\"" in
-  let skip_ws i =
-    let j = ref i in
-    while !j < String.length doc && (doc.[!j] = ' ' || doc.[!j] = '\n' || doc.[!j] = '\t') do
-      incr j
-    done;
-    !j
-  in
-  let rec find i =
-    if i + String.length key > String.length doc then None
-    else if String.sub doc i (String.length key) = key then begin
-      let j = skip_ws (i + String.length key) in
-      if j < String.length doc && doc.[j] = ':' then
-        let k = skip_ws (j + 1) in
-        if k < String.length doc && doc.[k] = '[' then Some (k + 1) else find (i + 1)
-      else find (i + 1)
-    end
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> []
-  | Some start ->
-      let entries = ref [] and depth = ref 0 and entry_start = ref (-1) in
-      let in_str = ref false and esc = ref false in
-      let i = ref start and stop = ref false in
-      while (not !stop) && !i < String.length doc do
-        let c = doc.[!i] in
-        if !esc then esc := false
-        else if !in_str then begin
-          if c = '\\' then esc := true else if c = '"' then in_str := false
-        end
-        else begin
-          match c with
-          | '"' -> in_str := true
-          | '{' ->
-              if !depth = 0 then entry_start := !i;
-              incr depth
-          | '}' ->
-              decr depth;
-              if !depth = 0 then
-                entries := String.sub doc !entry_start (!i - !entry_start + 1) :: !entries
-          | ']' when !depth = 0 -> stop := true
-          | _ -> ()
-        end;
-        incr i
-      done;
-      List.rev !entries
-
-let json_field entry key =
-  let pat = "\"" ^ key ^ "\"" in
-  let skip_ws i =
-    let j = ref i in
-    while !j < String.length entry && (entry.[!j] = ' ' || entry.[!j] = '\n' || entry.[!j] = '\t') do
-      incr j
-    done;
-    !j
-  in
-  let rec find i =
-    if i + String.length pat > String.length entry then None
-    else if String.sub entry i (String.length pat) = pat then begin
-      let j = skip_ws (i + String.length pat) in
-      if j < String.length entry && entry.[j] = ':' then Some (skip_ws (j + 1)) else find (i + 1)
-    end
-    else find (i + 1)
-  in
-  Option.map
-    (fun start ->
-      let stop = ref start in
-      let depth = ref 0 and in_str = ref false and esc = ref false and fin = ref false in
-      while (not !fin) && !stop < String.length entry do
-        let c = entry.[!stop] in
-        if !esc then esc := false
-        else if !in_str then begin
-          if c = '\\' then esc := true else if c = '"' then in_str := false
-        end
-        else begin
-          match c with
-          | '"' -> in_str := true
-          | '{' | '[' -> incr depth
-          | '}' | ']' -> if !depth = 0 then fin := true else decr depth
-          | ',' when !depth = 0 -> fin := true
-          | _ -> ()
-        end;
-        if not !fin then incr stop
-      done;
-      String.trim (String.sub entry start (!stop - start)))
-    (find 0)
-
 let bench_cmd =
   let baseline_arg =
     let doc = "Baseline bench JSON (a committed BENCH_prN.json) to gate against." in
@@ -1265,32 +1174,35 @@ let bench_cmd =
         (fun s -> List.filter_map int_of_string_opt (String.split_on_char ',' s))
         vcpus_filter
     in
-    let entries = json_escale_entries doc in
-    if entries = [] then begin
-      Printf.eprintf "bench: no \"veil_escale\" entries in %s\n" baseline;
-      exit 1
-    end;
+    let fail fmt = Printf.ksprintf (fun msg -> prerr_endline ("bench: " ^ msg); exit 1) fmt in
+    let entries =
+      match Obs.Json.parse doc with
+      | Error e -> fail "%s is not valid JSON: %s" baseline e
+      | Ok j -> (
+          match Obs.Json.member "veil_escale" j with
+          | Some (List (_ :: _ as l)) -> l
+          | _ -> fail "no \"veil_escale\" entries in %s" baseline)
+    in
     let module Es = Workloads.Escale in
     Printf.printf "veilctl bench — trajectory gate against %s (tolerance %.0f%%)\n" baseline
       (100.0 *. tol);
     Printf.printf "  %-14s %3s %5s %12s %12s %8s %8s  %s\n" "bench" "nv" "rings" "base ops/s"
       "now ops/s" "base ser" "now ser" "verdict";
     let regressions = ref 0 in
-    List.iter
-      (fun entry ->
-        let need key =
-          match json_field entry key with
+    List.iteri
+      (fun k entry ->
+        let field key ok =
+          match Option.bind (Obs.Json.member key entry) ok with
           | Some v -> v
-          | None ->
-              Printf.eprintf "bench: entry in %s lacks %S: %s\n" baseline key entry;
-              exit 1
+          | None -> fail "veil_escale entry %d in %s has no valid %S" k baseline key
         in
-        let bench = Scanf.sscanf (need "bench") "%S" (fun s -> s) in
-        let nv = int_of_string (need "vcpus") in
-        let ops = int_of_string (need "ops") in
-        let base_tp = float_of_string (need "ops_per_s") in
-        let base_ser = float_of_string (need "serialized_pct") in
-        let rings = need "rings" = "true" in
+        let num key = field key Obs.Json.number in
+        let bench = field "bench" (function Obs.Json.String s -> Some s | _ -> None) in
+        let nv = field "vcpus" (function Obs.Json.Int n -> Some n | _ -> None) in
+        let ops = field "ops" (function Obs.Json.Int n -> Some n | _ -> None) in
+        let base_tp = num "ops_per_s" in
+        let base_ser = num "serialized_pct" in
+        let rings = field "rings" (function Obs.Json.Bool b -> Some b | _ -> None) in
         if (match wanted with Some l -> List.mem nv l | None -> true) then begin
           let spawn_work =
             match bench with
@@ -1590,14 +1502,14 @@ let fleet_cmd =
     let r = Fleet.run cfg in
     if replay then begin
       let r2 = Fleet.run cfg in
-      if Fleet.report_json r <> Fleet.report_json r2 then begin
+      if Obs.Json.(to_string (Fleet.report_json r) <> to_string (Fleet.report_json r2)) then begin
         Printf.eprintf "fleet: REPLAY MISMATCH — identical config produced different reports\n";
         exit 1
       end
     end;
     let buf = Buffer.create 2048 in
     let p fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-    if json then Buffer.add_string buf (Fleet.report_json r)
+    if json then Obs.Json.to_buffer buf (Fleet.report_json r)
     else begin
       p "Veil-Fleet — %d guest(s) x %d VCPU(s), %s, %s loop, seed %d\n" guests vcpus
         (Fleet.workload_name workload)

@@ -391,30 +391,16 @@ let run ?sites ?(trials = 3) ?(workloads = all_workloads) ?(check_replay = true)
   }
 
 let report_json r =
-  let b = Buffer.create 1024 in
-  let esc = Obs.Metrics.json_escape in
-  Buffer.add_string b (Printf.sprintf "{\"seed\":%d,\"ok\":%b,\"replay_ok\":%b," r.rp_seed r.rp_ok r.rp_replay_ok);
-  Buffer.add_string b (Printf.sprintf "\"attacks_run\":%d,\"breached\":[" r.rp_attacks_run);
-  List.iteri
-    (fun i (n, o) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "{\"attack\":\"%s\",\"outcome\":\"%s\"}" (esc n) (esc o)))
-    r.rp_breached;
-  Buffer.add_string b "],\"site_hits\":{";
-  List.iteri
-    (fun i (n, h) ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\"%s\":%d" (esc n) h))
-    r.rp_site_hits;
-  Buffer.add_string b "},\"trials\":[";
-  List.iteri
-    (fun i t ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"workload\":\"%s\",\"seed\":%d,\"outcome\":\"%s\",\"steps\":%d,\"hits\":%d}"
-           (workload_name t.tr_workload) t.tr_seed
-           (esc (outcome_to_string t.tr_outcome))
-           t.tr_steps (FP.total_hits t.tr_plan)))
-    r.rp_trials;
-  Buffer.add_string b "]}";
-  Buffer.contents b
+  let breached (n, o) : Obs.Json.t = Obj [ ("attack", String n); ("outcome", String o) ] in
+  let trial t : Obs.Json.t =
+    Obj
+      [ ("workload", String (workload_name t.tr_workload)); ("seed", Int t.tr_seed);
+        ("outcome", String (outcome_to_string t.tr_outcome)); ("steps", Int t.tr_steps);
+        ("hits", Int (FP.total_hits t.tr_plan)) ]
+  in
+  Obs.Json.to_string
+    (Obj
+       [ ("seed", Int r.rp_seed); ("ok", Bool r.rp_ok); ("replay_ok", Bool r.rp_replay_ok);
+         ("attacks_run", Int r.rp_attacks_run); ("breached", List (List.map breached r.rp_breached));
+         ("site_hits", Obj (List.map (fun (n, h) -> (n, Obs.Json.Int h)) r.rp_site_hits));
+         ("trials", List (List.map trial r.rp_trials)) ])

@@ -89,6 +89,3 @@ val journal : t -> (int * site) list
 
 val journal_equal : t -> t -> bool
 (** Replay-identity check: same journal, same per-site hit counts. *)
-
-val summary_json : t -> string
-(** [{"seed":..,"steps":..,"site_hits":{..},"total_hits":..}] *)

@@ -698,32 +698,28 @@ let replay ?(config = default_config) af =
                    (if af.af_journal = "" then "(empty)" else af.af_journal)
                    (O.to_string r.br_outcome)))
 
-(* --- JSON report (hand-built, like the chaos driver) --------------- *)
+(* --- JSON report --------------------------------------------------- *)
 
 let report_json rs =
-  let b = Buffer.create 1024 in
-  let esc = Obs.Metrics.json_escape in
-  Buffer.add_string b "{\"scenarios\":[";
-  List.iteri
-    (fun k r ->
-      if k > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"scenario\":\"%s\",\"nvcpus\":%d,\"weakened\":%b,\"branches\":%d,\"branch_points\":%d,\"explored\":%d,\"pruned\":%d,\"deferred\":%d,\"pruning_ratio\":%.3f,\"frontier_coverage\":%.3f,\"exhausted\":%b,\"max_depth\":%d,\"violation\":"
-           (esc r.rr_scenario) r.rr_nvcpus r.rr_weakened r.rr_runs r.rr_branch_points
-           r.rr_branched r.rr_pruned r.rr_deferred (pruning_ratio r) (frontier_coverage r)
-           (exhausted r) r.rr_max_depth);
-      (match r.rr_violation with
-      | None -> Buffer.add_string b "null"
-      | Some cx ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"class\":\"%s\",\"detail\":\"%s\",\"journal\":\"%s\",\"full\":\"%s\",\"orig_len\":%d,\"found_after\":%d,\"shrink_runs\":%d}"
-               (esc cx.cx_class) (esc cx.cx_detail) (esc cx.cx_journal) (esc cx.cx_full)
-               cx.cx_orig_len cx.cx_found_after cx.cx_shrink_runs));
-      Buffer.add_char b '}')
-    rs;
-  Buffer.add_string b
-    (Printf.sprintf "],\"ok\":%b}"
-       (List.for_all (fun r -> r.rr_weakened || r.rr_violation = None) rs));
-  Buffer.contents b
+  let violation cx : Obs.Json.t =
+    Obj
+      [ ("class", String cx.cx_class); ("detail", String cx.cx_detail);
+        ("journal", String cx.cx_journal); ("full", String cx.cx_full);
+        ("orig_len", Int cx.cx_orig_len); ("found_after", Int cx.cx_found_after);
+        ("shrink_runs", Int cx.cx_shrink_runs) ]
+  in
+  let scenario r : Obs.Json.t =
+    Obj
+      [ ("scenario", String r.rr_scenario); ("nvcpus", Int r.rr_nvcpus);
+        ("weakened", Bool r.rr_weakened); ("branches", Int r.rr_runs);
+        ("branch_points", Int r.rr_branch_points); ("explored", Int r.rr_branched);
+        ("pruned", Int r.rr_pruned); ("deferred", Int r.rr_deferred);
+        ("pruning_ratio", Fixed (3, pruning_ratio r));
+        ("frontier_coverage", Fixed (3, frontier_coverage r)); ("exhausted", Bool (exhausted r));
+        ("max_depth", Int r.rr_max_depth);
+        ("violation", match r.rr_violation with None -> Null | Some cx -> violation cx) ]
+  in
+  Obs.Json.to_string
+    (Obj
+       [ ("scenarios", List (List.map scenario rs));
+         ("ok", Bool (List.for_all (fun r -> r.rr_weakened || r.rr_violation = None) rs)) ])

@@ -179,45 +179,6 @@ let mk_env kernel proc ~rings ~seed =
     env_rings = rings;
   }
 
-(* memcached: one serve pass over every queued command (the servers.ml
-   protocol and cycle calibration, shared store semantics) *)
-let mc_serve env store server_conn =
-  let rec loop () =
-    match Env.recv env server_conn 4096 with
-    | None -> ()
-    | Some req when Bytes.length req = 0 -> ()
-    | Some req ->
-        List.iter
-          (fun line ->
-            let line = String.trim line in
-            if line <> "" then begin
-              env.Env.compute 610_000 (* command parse, hash, LRU, slab bookkeeping *);
-              match String.split_on_char ' ' line with
-              | [ "get"; key ] -> (
-                  match Mcache.get store key with
-                  | Some v ->
-                      let reply =
-                        Bytes.concat Bytes.empty
-                          [
-                            Bytes.of_string (Printf.sprintf "VALUE %s 0 %d\r\n" key (Bytes.length v));
-                            v;
-                            Bytes.of_string "\r\nEND\r\n";
-                          ]
-                      in
-                      ignore (Env.send env server_conn reply)
-                  | None -> ignore (Env.send env server_conn (Bytes.of_string "END\r\n")))
-              | [ "set"; key; len ] ->
-                  let n = int_of_string len in
-                  env.Env.compute (400 + n);
-                  Mcache.set store ~key ~value:(Veil_crypto.Rng.bytes env.Env.env_rng n) ();
-                  ignore (Env.send env server_conn (Bytes.of_string "STORED\r\n"))
-              | _ -> ignore (Env.send env server_conn (Bytes.of_string "ERROR\r\n"))
-            end)
-          (String.split_on_char '\n' (Bytes.to_string req));
-        loop ()
-  in
-  loop ()
-
 let sql_pad rng n = String.init n (fun _ -> Char.chr (Char.code 'a' + Arrival.uniform rng 26))
 
 let setup_workload cfg env cli rng =
@@ -251,7 +212,7 @@ let setup_workload cfg env cli rng =
       (* warm the store so gets hit *)
       for i = 0 to 63 do
         ignore (Env.send cli conn (Bytes.of_string (Printf.sprintf "set key%d 512\n" i)));
-        mc_serve env store server_conn;
+        Workloads.Servers.memcached_serve env store server_conn;
         ignore (Env.recv cli conn 256)
       done;
       St_mc { store; conn; server_conn }
@@ -335,12 +296,12 @@ let serve_mc g store conn server_conn =
   if Arrival.uniform g.g_rng 10 = 0 then begin
     let sz = Arrival.pareto_size g.g_rng ~xm:64 ~alpha:1.3 ~cap:4096 in
     ignore (Env.send g.g_cli conn (Bytes.of_string (Printf.sprintf "set %s %d\n" key sz)));
-    mc_serve g.g_env store server_conn;
+    Workloads.Servers.memcached_serve g.g_env store server_conn;
     ignore (Env.recv g.g_cli conn 256)
   end
   else begin
     ignore (Env.send g.g_cli conn (Bytes.of_string (Printf.sprintf "get %s\n" key)));
-    mc_serve g.g_env store server_conn;
+    Workloads.Servers.memcached_serve g.g_env store server_conn;
     ignore (Env.recv g.g_cli conn 65536)
   end
 
@@ -619,30 +580,24 @@ let rate_for cfg ~utilization ~mean_service_cycles =
     utilization *. float_of_int (cfg.guests * cfg.vcpus) *. float_of_int C.freq_hz
     /. mean_service_cycles
 
-let report_json r =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"mode\":\"%s\",\"workload\":\"%s\",\"vcpus\":%d,\"requests\":%d,\"wall_cycles\":%d,\
-        \"throughput_rps\":%.1f,\"offered_rps\":%.1f,\"p50\":%d,\"p99\":%d,\"p999\":%d,\
-        \"mean\":%.1f,\"merged_digest\":\"%s\",\"guests\":["
-       (match r.r_mode with Open_loop -> "open" | Closed_loop -> "closed")
-       (workload_name r.r_workload) r.r_vcpus r.r_requests r.r_wall_cycles r.r_throughput
-       r.r_offered r.r_p50 r.r_p99 r.r_p999 r.r_mean r.r_merged_digest);
-  Array.iteri
-    (fun i (g : guest_report) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"id\":%d,\"seed\":%d,\"requests\":%d,\"p50\":%d,\"p99\":%d,\"p999\":%d,\
-            \"mean_svc\":%.1f,\"ledger_entries\":%d,\"ledger_queued\":%d,\"slog_ok\":%b,\
-            \"log_lines\":%d,\"data_digest\":\"%s\",\"hist_digest\":\"%s\",\"hostile\":%b,\
-            \"blocked\":%d,\"chaos_hits\":%d,\"journal\":\"%s\"}"
-           g.gr_id g.gr_seed g.gr_requests g.gr_p50 g.gr_p99 g.gr_p999 g.gr_mean_svc
-           g.gr_wait.Veil_core.Monitor.ws_entries g.gr_wait.Veil_core.Monitor.ws_queued_cycles
-           g.gr_slog_ok g.gr_log_lines g.gr_data_digest g.gr_hist_digest g.gr_hostile
-           g.gr_blocked g.gr_chaos_hits
-           (M.json_escape g.gr_journal)))
-    r.r_guests;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+let report_json r : Obs.Json.t =
+  let guest (g : guest_report) : Obs.Json.t =
+    Obj
+      [ ("id", Int g.gr_id); ("seed", Int g.gr_seed); ("requests", Int g.gr_requests);
+        ("p50", Int g.gr_p50); ("p99", Int g.gr_p99); ("p999", Int g.gr_p999);
+        ("mean_svc", Fixed (1, g.gr_mean_svc));
+        ("ledger_entries", Int g.gr_wait.Veil_core.Monitor.ws_entries);
+        ("ledger_queued", Int g.gr_wait.Veil_core.Monitor.ws_queued_cycles);
+        ("slog_ok", Bool g.gr_slog_ok); ("log_lines", Int g.gr_log_lines);
+        ("data_digest", String g.gr_data_digest); ("hist_digest", String g.gr_hist_digest);
+        ("hostile", Bool g.gr_hostile); ("blocked", Int g.gr_blocked);
+        ("chaos_hits", Int g.gr_chaos_hits); ("journal", String g.gr_journal) ]
+  in
+  Obj
+    [ ("mode", String (match r.r_mode with Open_loop -> "open" | Closed_loop -> "closed"));
+      ("workload", String (workload_name r.r_workload)); ("vcpus", Int r.r_vcpus);
+      ("requests", Int r.r_requests); ("wall_cycles", Int r.r_wall_cycles);
+      ("throughput_rps", Fixed (1, r.r_throughput)); ("offered_rps", Fixed (1, r.r_offered));
+      ("p50", Int r.r_p50); ("p99", Int r.r_p99); ("p999", Int r.r_p999);
+      ("mean", Fixed (1, r.r_mean)); ("merged_digest", String r.r_merged_digest);
+      ("guests", List (Array.to_list (Array.map guest r.r_guests))) ]

@@ -9,16 +9,9 @@ let phase_letter = function
   | Trace.End -> "E"
   | Trace.Complete -> "X"
 
-let buf_ts buf ~freq_hz key cycles =
-  Buffer.add_string buf key;
-  match freq_hz with
-  | None -> Buffer.add_string buf (string_of_int cycles)
-  | Some hz ->
-      (* Chrome wants microseconds. *)
-      Buffer.add_string buf
-        (Printf.sprintf "%.3f" (float_of_int cycles *. 1e6 /. float_of_int hz))
+let opt cond field = if cond then [ field ] else []
 
-let to_json ?freq_hz ?pulse t =
+let to_json ?pulse t =
   (* Complete spans are recorded at their end but stamped with their
      start, so the emission order is not timestamp order; viewers want
      (and the tests assert) sorted output. *)
@@ -27,22 +20,28 @@ let to_json ?freq_hz ?pulse t =
   in
   let buf = Buffer.create 4096 in
   let first = ref true in
-  let sep () =
+  let emit (ev : Json.t) =
     if !first then first := false else Buffer.add_char buf ',';
-    Buffer.add_string buf "\n  "
+    Buffer.add_string buf "\n  ";
+    Json.to_buffer buf ev
   in
   Buffer.add_string buf "{\"traceEvents\":[";
   (* Ring wraparound is not silent: say how many events this export is
      missing, as a global instant pinned at the window's start. *)
   if Trace.dropped t > 0 then begin
-    sep ();
     let ts0 = match evs with ev :: _ -> ev.Trace.ev_ts | [] -> 0 in
-    Buffer.add_string buf
-      "{\"name\":\"trace_truncated\",\"cat\":\"veil\",\"ph\":\"i\",\"s\":\"g\"";
-    buf_ts buf ~freq_hz ",\"ts\":" ts0;
-    Buffer.add_string buf
-      (Printf.sprintf ",\"pid\":0,\"tid\":0,\"args\":{\"dropped\":%d}}" (Trace.dropped t))
+    emit
+      (Obj
+         [ ("name", String "trace_truncated"); ("cat", String "veil"); ("ph", String "i");
+           ("s", String "g"); ("ts", Int ts0); ("pid", Int 0); ("tid", Int 0);
+           ("args", Obj [ ("dropped", Int (Trace.dropped t)) ]) ])
   end;
+  let meta kind pid tid name =
+    emit
+      (Obj
+         [ ("name", String kind); ("ph", String "M"); ("pid", Int pid); ("tid", Int tid);
+           ("args", Obj [ ("name", String name) ]) ])
+  in
   (* Metadata: name every VMPL process and VCPU thread we will use. *)
   let seen_pids = Hashtbl.create 8 and seen_tids = Hashtbl.create 8 in
   List.iter
@@ -50,43 +49,29 @@ let to_json ?freq_hz ?pulse t =
       let pid = ev.Trace.ev_vmpl and tid = ev.Trace.ev_vcpu in
       if not (Hashtbl.mem seen_pids pid) then begin
         Hashtbl.replace seen_pids pid ();
-        sep ();
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":0,\"args\":{\"name\":\"vmpl%d\"}}"
-             pid pid)
+        meta "process_name" pid 0 ("vmpl" ^ string_of_int pid)
       end;
       if not (Hashtbl.mem seen_tids (pid, tid)) then begin
         Hashtbl.replace seen_tids (pid, tid) ();
-        sep ();
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%d,\"tid\":%d,\"args\":{\"name\":\"vcpu%d\"}}"
-             pid tid tid)
+        meta "thread_name" pid tid ("vcpu" ^ string_of_int tid)
       end)
     evs;
   List.iter
-    (fun ev ->
-      sep ();
-      Buffer.add_string buf "{\"name\":\"";
-      Buffer.add_string buf (Metrics.json_escape (Trace.kind_name ev.Trace.ev_kind));
-      Buffer.add_string buf "\",\"cat\":\"veil\",\"ph\":\"";
-      Buffer.add_string buf (phase_letter ev.Trace.ev_phase);
-      Buffer.add_char buf '"';
-      if ev.Trace.ev_phase = Trace.Instant then Buffer.add_string buf ",\"s\":\"t\"";
-      buf_ts buf ~freq_hz ",\"ts\":" ev.Trace.ev_ts;
-      if ev.Trace.ev_phase = Trace.Complete then buf_ts buf ~freq_hz ",\"dur\":" ev.Trace.ev_dur;
-      Buffer.add_string buf
-        (Printf.sprintf ",\"pid\":%d,\"tid\":%d" ev.Trace.ev_vmpl ev.Trace.ev_vcpu);
-      Buffer.add_string buf ",\"args\":{";
-      if ev.Trace.ev_bucket <> "" then begin
-        Buffer.add_string buf "\"bucket\":\"";
-        Buffer.add_string buf (Metrics.json_escape ev.Trace.ev_bucket);
-        Buffer.add_string buf "\","
-      end;
-      if ev.Trace.ev_id <> 0 then
-        Buffer.add_string buf (Printf.sprintf "\"id\":%d," ev.Trace.ev_id);
-      Buffer.add_string buf (Printf.sprintf "\"arg\":%d,\"cycles\":%d}}" ev.Trace.ev_arg ev.Trace.ev_ts))
+    (fun (ev : Trace.event) ->
+      let args : Json.t =
+        Obj
+          (opt (ev.ev_bucket <> "") ("bucket", Json.String ev.ev_bucket)
+          @ opt (ev.ev_id <> 0) ("id", Json.Int ev.ev_id)
+          @ [ ("arg", Int ev.ev_arg); ("cycles", Int ev.ev_ts) ])
+      in
+      emit
+        (Obj
+           ([ ("name", Json.String (Trace.kind_name ev.ev_kind)); ("cat", String "veil");
+              ("ph", String (phase_letter ev.ev_phase)) ]
+           @ opt (ev.ev_phase = Trace.Instant) ("s", Json.String "t")
+           @ [ ("ts", Json.Int ev.ev_ts) ]
+           @ opt (ev.ev_phase = Trace.Complete) ("dur", Json.Int ev.ev_dur)
+           @ [ ("pid", Json.Int ev.ev_vmpl); ("tid", Int ev.ev_vcpu); ("args", args) ])))
     evs;
   (* Flow events: one s -> t* -> f chain per causal id that hops
      between (vmpl, vcpu) lanes, so Perfetto draws the request's
@@ -102,12 +87,12 @@ let to_json ?freq_hz ?pulse t =
     List.sort compare (Hashtbl.fold (fun id _ acc -> id :: acc) by_id [])
   in
   let flow_point ph (ev : Trace.event) =
-    sep ();
-    Buffer.add_string buf (Printf.sprintf "{\"name\":\"req\",\"cat\":\"veil.flow\",\"ph\":\"%s\"" ph);
-    if ph = "f" then Buffer.add_string buf ",\"bp\":\"e\"";
-    Buffer.add_string buf (Printf.sprintf ",\"id\":%d" ev.Trace.ev_id);
-    buf_ts buf ~freq_hz ",\"ts\":" ev.Trace.ev_ts;
-    Buffer.add_string buf (Printf.sprintf ",\"pid\":%d,\"tid\":%d}" ev.Trace.ev_vmpl ev.Trace.ev_vcpu)
+    emit
+      (Obj
+         ([ ("name", Json.String "req"); ("cat", String "veil.flow"); ("ph", String ph) ]
+         @ opt (ph = "f") ("bp", Json.String "e")
+         @ [ ("id", Json.Int ev.ev_id); ("ts", Int ev.ev_ts); ("pid", Int ev.ev_vmpl);
+             ("tid", Int ev.ev_vcpu) ]))
   in
   List.iter
     (fun id ->
@@ -136,11 +121,10 @@ let to_json ?freq_hz ?pulse t =
   (match pulse with
   | Some pu when Pulse.retained pu > 0 ->
       let track name t1 v =
-        sep ();
-        Buffer.add_string buf
-          (Printf.sprintf "{\"name\":\"%s\",\"cat\":\"veil.pulse\",\"ph\":\"C\"" name);
-        buf_ts buf ~freq_hz ",\"ts\":" t1;
-        Buffer.add_string buf (Printf.sprintf ",\"pid\":0,\"args\":{\"value\":%d}}" v)
+        emit
+          (Obj
+             [ ("name", String name); ("cat", String "veil.pulse"); ("ph", String "C");
+               ("ts", Int t1); ("pid", Int 0); ("args", Obj [ ("value", Int v) ]) ])
       in
       for i = Pulse.first_retained pu to Pulse.captured pu - 1 do
         match Pulse.bounds pu i with
@@ -148,7 +132,7 @@ let to_json ?freq_hz ?pulse t =
         | Some (_, t1) ->
             let n, p99 =
               match Pulse.hist_window pu ~metric:"kernel.syscall_cycles" ~window:1 ~upto:i with
-              | Some (b, n, _) -> (n, Pulse.wpercentile ~buckets:b 99.0)
+              | Some (b, n, _) -> (n, Metrics.bucket_percentile ~buckets:b 99.0)
               | None -> (0, 0)
             in
             let exits =

@@ -12,11 +12,9 @@
     bucket, the kind-specific [arg], and the causal trace id (when
     nonzero) ride along in ["args"]. *)
 
-val to_json : ?freq_hz:int -> ?pulse:Pulse.t -> Trace.t -> string
-(** Export all buffered events.  Timestamps are emitted in
-    microseconds when [freq_hz] is given (Chrome's native unit,
-    computed as [cycles * 1e6 / freq_hz]); without it, raw cycle
-    values are used — still valid, just unlabeled units.
+val to_json : ?pulse:Pulse.t -> Trace.t -> string
+(** Export all buffered events, one per line.  Timestamps ([ts],
+    [dur]) are raw simulated cycles.
 
     With [pulse], one Chrome counter track sample (ph ["C"]) per
     retained Veil-Pulse interval is appended for the core series —

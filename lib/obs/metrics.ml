@@ -113,29 +113,28 @@ let hist_max h = h.mx
 
 let mean h = if h.n = 0 then 0.0 else float_of_int h.sum /. float_of_int h.n
 
+(* Upper bound of the bucket holding rank [ceil(p/100 * n)]; for
+   [p >= 100] that is the highest non-empty bucket. *)
+let bucket_percentile ~buckets p =
+  let n = Array.fold_left ( + ) 0 buckets in
+  if n = 0 then 0
+  else begin
+    let rank = min n (max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int n)))) in
+    let rec walk b cum =
+      let cum = cum + buckets.(b) in
+      if cum >= rank then b else walk (b + 1) cum
+    in
+    bucket_hi (walk 0 0)
+  end
+
+(* Conservative (upper-bound) estimate: the rank-th sample is *at most*
+   the bucket's upper edge, clamped to the observed max.  The lower
+   bound under-reported by up to 2x — e.g. a histogram of identical
+   1000-cycle samples answered p50 = 512 (see DESIGN.md §9b). *)
 let percentile h p =
   if h.n = 0 then 0
-  else if p >= 100.0 then h.mx (* the true observed max, not a bucket lower bound *)
-  else begin
-    let rank = max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int h.n))) in
-    let rank = min rank h.n in
-    let cum = ref 0 and result = ref 0 and found = ref false in
-    for i = 0 to nbuckets - 1 do
-      if not !found then begin
-        cum := !cum + h.buckets.(i);
-        if !cum >= rank then begin
-          found := true;
-          (* Conservative (upper-bound) estimate: the rank-th sample is
-             *at most* the bucket's upper edge, clamped to the observed
-             max.  The lower bound under-reported by up to 2x — e.g. a
-             histogram of identical 1000-cycle samples answered p50 =
-             512 (see DESIGN.md §9b). *)
-          result := min h.mx (bucket_hi i)
-        end
-      end
-    done;
-    !result
-  end
+  else if p >= 100.0 then h.mx (* the true observed max, not a bucket bound *)
+  else min h.mx (bucket_percentile ~buckets:h.buckets p)
 
 let find t name = Hashtbl.find_opt t.tbl name
 
@@ -319,47 +318,22 @@ let dump t =
     (names t);
   Buffer.contents buf
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json t =
   refresh t;
-  let pick f = List.filter_map (fun n -> f n (Hashtbl.find t.tbl n)) (names t) in
-  let obj fields = "{" ^ String.concat "," fields ^ "}" in
-  let counters =
-    pick (fun n -> function
-      | Counter c -> Some (Printf.sprintf "\"%s\":%d" (json_escape n) c.c)
-      | _ -> None)
+  let pick f =
+    Json.Obj
+      (List.filter_map
+         (fun n -> Option.map (fun v -> (n, v)) (f (Hashtbl.find t.tbl n)))
+         (names t))
   in
-  let gauges =
-    pick (fun n -> function
-      | Gauge g -> Some (Printf.sprintf "\"%s\":%d" (json_escape n) g.g)
-      | _ -> None)
+  let hist h =
+    Json.Obj
+      [ ("count", Int h.n); ("sum", Int h.sum); ("min", Int h.mn); ("max", Int h.mx);
+        ("mean", Float (mean h)); ("p50", Int (percentile h 50.0)); ("p95", Int (percentile h 95.0));
+        ("p99", Int (percentile h 99.0)); ("p999", Int (percentile h 99.9)) ]
   in
-  let histograms =
-    pick (fun n -> function
-      | Histogram h ->
-          Some
-            (Printf.sprintf
-               "\"%s\":{\"count\":%d,\"sum\":%d,\"min\":%d,\"max\":%d,\"mean\":%g,\"p50\":%d,\"p95\":%d,\"p99\":%d,\"p999\":%d}"
-               (json_escape n) h.n h.sum h.mn h.mx (mean h) (percentile h 50.0) (percentile h 95.0)
-               (percentile h 99.0) (percentile h 99.9))
-      | _ -> None)
-  in
-  obj
-    [
-      "\"counters\":" ^ obj counters;
-      "\"gauges\":" ^ obj gauges;
-      "\"histograms\":" ^ obj histograms;
-    ]
+  Json.to_string
+    (Obj
+       [ ("counters", pick (function Counter c -> Some (Json.Int c.c) | _ -> None));
+         ("gauges", pick (function Gauge g -> Some (Json.Int g.g) | _ -> None));
+         ("histograms", pick (function Histogram h -> Some (hist h) | _ -> None)) ])

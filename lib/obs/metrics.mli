@@ -90,6 +90,13 @@ val nbuckets : int
 val bucket_hi : int -> int
 (** Upper bound of bucket [i]: 0 for bucket 0, else [2^i - 1]. *)
 
+val bucket_percentile : buckets:int array -> float -> int
+(** Percentile of a raw bucket-count array (a windowed or merged
+    histogram): the upper bound of the bucket holding the observation
+    of rank [ceil(p/100 * n)], [n] the total count; for [p >= 100] the
+    upper bound of the highest non-empty bucket.  0 when empty.  The
+    rank walk behind {!percentile}. *)
+
 val hist_slots : int
 (** Snapshot slots per histogram: [nbuckets + 4]. *)
 
@@ -151,7 +158,3 @@ val dump : t -> string
 val to_json : t -> string
 (** One JSON object: [{"counters":{..},"gauges":{..},"histograms":{..}}]
     with mean/p50/p95/p99/p999 readouts inlined per histogram. *)
-
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal (shared with
-    the trace exporter). *)

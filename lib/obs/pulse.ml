@@ -314,32 +314,6 @@ let hist_window t ~metric ~window ~upto =
     if !any then Some (buckets, !n, !sum) else None
   end
 
-let wpercentile ~buckets p =
-  let n = Array.fold_left ( + ) 0 buckets in
-  if n = 0 then 0
-  else begin
-    let hi = ref 0 in
-    for b = 0 to Array.length buckets - 1 do
-      if buckets.(b) > 0 then hi := b
-    done;
-    if p >= 100.0 then Metrics.bucket_hi !hi
-    else begin
-      let rank = max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int n))) in
-      let rank = min rank n in
-      let cum = ref 0 and result = ref 0 and found = ref false in
-      for b = 0 to Array.length buckets - 1 do
-        if not !found then begin
-          cum := !cum + buckets.(b);
-          if !cum >= rank then begin
-            found := true;
-            result := min (Metrics.bucket_hi !hi) (Metrics.bucket_hi b)
-          end
-        end
-      done;
-      !result
-    end
-  end
-
 (* -------------------------------------------------------------- *)
 (* SLOs                                                           *)
 

@@ -87,13 +87,8 @@ val hist_window : t -> metric:string -> window:int -> upto:int -> (int array * i
 (** Merge the interval-scoped buckets of histogram [metric] over the
     [window] retained intervals ending at global index [upto]:
     [(buckets, count, sum)].  None when the metric is unknown, not a
-    histogram, or no interval in range is retained. *)
-
-val wpercentile : buckets:int array -> float -> int
-(** Percentile over windowed (interval-scoped) buckets: the upper
-    bound of the bucket holding the rank-th windowed observation,
-    clamped to the highest non-empty bucket's bound.  [p >= 100]
-    returns that highest bound.  0 when the window is empty. *)
+    histogram, or no interval in range is retained.  Read percentiles
+    off the buckets with {!Metrics.bucket_percentile}. *)
 
 (** {2 SLOs} *)
 

@@ -137,50 +137,39 @@ let measure ?(trace = false) ?(rings = false) ?pulse ~nvcpus ~seed ~spawn_work (
 (* Veil-Pulse per-interval timeseries of one measured run, as a JSON
    object — shared by the bench JSON document and [veilctl pulse
    --json] so the two never drift. *)
-let pulse_json sys =
+let pulse_json sys : Obs.Json.t =
   let pu = sys.Veil_core.Boot.platform.P.pulse in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"interval\":%d,\"captured\":%d,\"overwritten\":%d,\"intervals\":["
-       (Obs.Pulse.interval_cycles pu) (Obs.Pulse.captured pu) (Obs.Pulse.overwritten pu));
-  let first = Obs.Pulse.first_retained pu in
-  for i = first to Obs.Pulse.captured pu - 1 do
-    if i > first then Buffer.add_char buf ',';
+  let interval i : Obs.Json.t =
     let t0, t1 = match Obs.Pulse.bounds pu i with Some b -> b | None -> (0, 0) in
     let n, p50, p99, p999 =
       match Obs.Pulse.hist_window pu ~metric:"kernel.syscall_cycles" ~window:1 ~upto:i with
       | Some (b, n, _) ->
           ( n,
-            Obs.Pulse.wpercentile ~buckets:b 50.0,
-            Obs.Pulse.wpercentile ~buckets:b 99.0,
-            Obs.Pulse.wpercentile ~buckets:b 99.9 )
+            Obs.Metrics.bucket_percentile ~buckets:b 50.0,
+            Obs.Metrics.bucket_percentile ~buckets:b 99.0,
+            Obs.Metrics.bucket_percentile ~buckets:b 99.9 )
       | None -> (0, 0, 0, 0)
     in
     let exits =
       match Obs.Pulse.counter_delta pu ~metric:"platform.vmgexit" i with Some v -> v | None -> 0
     in
-    Buffer.add_string buf
-      (Printf.sprintf
-         "{\"i\":%d,\"t0\":%d,\"t1\":%d,\"syscalls\":%d,\"p50\":%d,\"p99\":%d,\"p999\":%d,\
-          \"vmgexits\":%d}"
-         i t0 t1 n p50 p99 p999 exits)
-  done;
-  Buffer.add_string buf "],\"slo\":[";
-  List.iteri
-    (fun k (br : Obs.Pulse.burn_report) ->
-      if k > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"metric\":\"%s\",\"good_below\":%d,\"slo\":%g,\"window\":%d,\
-            \"total\":%d,\"bad\":%d,\"budget\":%g,\"burn\":%g,\"crossed\":%b,\"crossings\":%d}"
-           (Obs.Metrics.json_escape br.Obs.Pulse.br_name)
-           (Obs.Metrics.json_escape br.Obs.Pulse.br_metric)
-           br.Obs.Pulse.br_good_below br.Obs.Pulse.br_slo br.Obs.Pulse.br_window
-           br.Obs.Pulse.br_total br.Obs.Pulse.br_bad br.Obs.Pulse.br_budget br.Obs.Pulse.br_burn
-           br.Obs.Pulse.br_crossed br.Obs.Pulse.br_crossings))
-    (Obs.Pulse.burn_reports pu);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+    Obj
+      [ ("i", Int i); ("t0", Int t0); ("t1", Int t1); ("syscalls", Int n); ("p50", Int p50);
+        ("p99", Int p99); ("p999", Int p999); ("vmgexits", Int exits) ]
+  in
+  let burn (br : Obs.Pulse.burn_report) : Obs.Json.t =
+    Obj
+      [ ("name", String br.br_name); ("metric", String br.br_metric);
+        ("good_below", Int br.br_good_below); ("slo", Float br.br_slo); ("window", Int br.br_window);
+        ("total", Int br.br_total); ("bad", Int br.br_bad); ("budget", Float br.br_budget);
+        ("burn", Float br.br_burn); ("crossed", Bool br.br_crossed); ("crossings", Int br.br_crossings) ]
+  in
+  let first = Obs.Pulse.first_retained pu in
+  Obj
+    [ ("interval", Int (Obs.Pulse.interval_cycles pu)); ("captured", Int (Obs.Pulse.captured pu));
+      ("overwritten", Int (Obs.Pulse.overwritten pu));
+      ("intervals", List (List.init (Obs.Pulse.captured pu - first) (fun k -> interval (first + k))));
+      ("slo", List (List.map burn (Obs.Pulse.burn_reports pu))) ]
 
 let syscall_work ~ops_total sys smp =
   let kernel = sys.Veil_core.Boot.kernel in

@@ -63,6 +63,48 @@ let nginx ?(requests = 200) ?(file_kb = 10) () =
 
 (* --- memcached: text protocol over a persistent connection --- *)
 
+let memcached_serve env store server_conn =
+  let rec loop () =
+    match Env.recv env server_conn 4096 with
+    | None -> ()
+    | Some req when Bytes.length req = 0 -> ()
+    | Some req ->
+        let lines = String.split_on_char '\n' (Bytes.to_string req) in
+        List.iter
+          (fun line ->
+            let line = String.trim line in
+            if line <> "" then begin
+              env.Env.compute 610_000 (* command parse, hash, LRU, slab bookkeeping *);
+              match String.split_on_char ' ' line with
+              | [ "get"; key ] -> (
+                  match Mcache.get store key with
+                  | Some v ->
+                      (* writev: one submission for the whole reply *)
+                      let reply =
+                        Bytes.concat Bytes.empty
+                          [
+                            Bytes.of_string (Printf.sprintf "VALUE %s 0 %d\r\n" key (Bytes.length v));
+                            v;
+                            Bytes.of_string "\r\nEND\r\n";
+                          ]
+                      in
+                      ignore (Env.send env server_conn reply)
+                  | None -> ignore (Env.send env server_conn (Bytes.of_string "END\r\n")))
+              | [ "set"; key; len ] ->
+                  let n = int_of_string len in
+                  env.Env.compute (400 + n);
+                  Mcache.set store ~key ~value:(Veil_crypto.Rng.bytes env.Env.env_rng n) ();
+                  ignore (Env.send env server_conn (Bytes.of_string "STORED\r\n"))
+              | [ "delete"; key ] ->
+                  ignore (Mcache.delete store key);
+                  ignore (Env.send env server_conn (Bytes.of_string "DELETED\r\n"))
+              | _ -> ignore (Env.send env server_conn (Bytes.of_string "ERROR\r\n"))
+            end)
+          lines;
+        loop ()
+  in
+  loop ()
+
 let memcached ?(ops = 600) ?(value_bytes = 1024) () =
   Workload.make ~name:"memcached" ~vcpus:4 (fun ctx ->
       let env = ctx.Workload.env and client = ctx.Workload.client in
@@ -77,49 +119,7 @@ let memcached ?(ops = 600) ?(value_bytes = 1024) () =
         | Some c -> c
         | None -> failwith "memcached: no pending connection"
       in
-      (* server: handle every queued command *)
-      let serve () =
-        let rec loop () =
-          match Env.recv env server_conn 4096 with
-          | None -> ()
-          | Some req when Bytes.length req = 0 -> ()
-          | Some req ->
-              let lines = String.split_on_char '\n' (Bytes.to_string req) in
-              List.iter
-                (fun line ->
-                  let line = String.trim line in
-                  if line <> "" then begin
-                    env.Env.compute 610_000 (* command parse, hash, LRU, slab bookkeeping *);
-                    match String.split_on_char ' ' line with
-                    | [ "get"; key ] -> (
-                        match Mcache.get store key with
-                        | Some v ->
-                            (* writev: one submission for the whole reply *)
-                            let reply =
-                              Bytes.concat Bytes.empty
-                                [
-                                  Bytes.of_string (Printf.sprintf "VALUE %s 0 %d\r\n" key (Bytes.length v));
-                                  v;
-                                  Bytes.of_string "\r\nEND\r\n";
-                                ]
-                            in
-                            ignore (Env.send env server_conn reply)
-                        | None -> ignore (Env.send env server_conn (Bytes.of_string "END\r\n")))
-                    | [ "set"; key; len ] ->
-                        let n = int_of_string len in
-                        env.Env.compute (400 + n);
-                        Mcache.set store ~key ~value:(Veil_crypto.Rng.bytes env.Env.env_rng n) ();
-                        ignore (Env.send env server_conn (Bytes.of_string "STORED\r\n"))
-                    | [ "delete"; key ] ->
-                        ignore (Mcache.delete store key);
-                        ignore (Env.send env server_conn (Bytes.of_string "DELETED\r\n"))
-                    | _ -> ignore (Env.send env server_conn (Bytes.of_string "ERROR\r\n"))
-                  end)
-                lines;
-              loop ()
-        in
-        loop ()
-      in
+      let serve () = memcached_serve env store server_conn in
       let n = ops * ctx.Workload.scale in
       (* warm the store *)
       for i = 0 to 63 do

@@ -107,16 +107,6 @@ let test_site_names_roundtrip () =
   Alcotest.(check bool) "unknown name rejected" true (FP.site_of_name "nonsense" = None);
   Alcotest.(check int) "fourteen sites" 14 FP.nsites
 
-let test_summary_json_mentions_seed () =
-  let p = FP.create ~seed:12345 () in
-  let j = FP.summary_json p in
-  let has_sub needle hay =
-    let n = String.length needle in
-    let rec go i = i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "seed printed" true (has_sub "\"seed\":12345" j)
-
 (* --- armed-but-zero plan is behaviourally invisible --- *)
 
 let test_armed_zero_plan_identical_boot () =
@@ -258,7 +248,6 @@ let suite =
     ("max_hits and skip schedules", `Quick, test_plan_schedules);
     ("adversarial seeds keep the PRNG live", `Quick, test_plan_adversarial_seeds);
     ("site names round trip", `Quick, test_site_names_roundtrip);
-    ("summary json carries the seed", `Quick, test_summary_json_mentions_seed);
     ("armed all-zero plan boots identically", `Quick, test_armed_zero_plan_identical_boot);
     ("transient RMPADJUST failures retried", `Quick, test_transient_rmpadjust_retried);
     ("transient PVALIDATE failures retried", `Quick, test_transient_pvalidate_retried);

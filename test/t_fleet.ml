@@ -214,7 +214,7 @@ let test_fleet_sqldb_smoke () =
   check_report cfg (Fleet.run cfg)
 
 let test_fleet_replay_deterministic () =
-  let j () = Fleet.report_json (Fleet.run quick_cfg) in
+  let j () = Obs.Json.to_string (Fleet.report_json (Fleet.run quick_cfg)) in
   Alcotest.(check string) "identical config, identical report" (j ()) (j ())
 
 let test_fleet_rings_pulse_chaos () =
@@ -223,7 +223,7 @@ let test_fleet_rings_pulse_chaos () =
   check_report cfg r;
   let hits = Array.fold_left (fun acc g -> acc + g.Fleet.gr_chaos_hits) 0 r.Fleet.r_guests in
   Alcotest.(check bool) "derived fault plans actually fired" true (hits > 0);
-  let j () = Fleet.report_json (Fleet.run cfg) in
+  let j () = Obs.Json.to_string (Fleet.report_json (Fleet.run cfg)) in
   Alcotest.(check string) "still replay-identical under rings+pulse+chaos" (j ()) (j ())
 
 (* Guest identity is a function of guest id alone, and dispatch is

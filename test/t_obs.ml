@@ -1,7 +1,7 @@
 (* Veil-Trace/Veil-Prof observability tests: ring-buffer semantics,
    span nesting, histogram percentile exactness, Chrome trace_event
-   export (parsed with a tiny local JSON reader — no extra deps), and
-   the cycle-attribution profiler's self/total accounting. *)
+   export (read back with Obs.Json), and the cycle-attribution
+   profiler's self/total accounting. *)
 
 module Tr = Obs.Trace
 module M = Obs.Metrics
@@ -142,123 +142,20 @@ let test_reset () =
   Alcotest.(check int) "histogram zeroed" 0 (M.hist_count h);
   Alcotest.(check (list string)) "registrations survive" [ "c"; "g"; "h" ] (M.names m)
 
-(* --- minimal JSON reader (enough to validate exporter output) --- *)
+(* --- reading exporter output back through Obs.Json --- *)
 
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | List of json list
-  | Obj of (string * json) list
+module J = Obs.Json
 
-exception Bad_json of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let peek () = if !pos < n then s.[!pos] else '\255' in
-  let advance () = incr pos in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      advance ()
-    done
-  in
-  let expect c = if peek () = c then advance () else fail (Printf.sprintf "expected %c" c) in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' ->
-          advance ();
-          (match peek () with
-          | 'n' -> Buffer.add_char b '\n'
-          | 't' -> Buffer.add_char b '\t'
-          | 'r' -> Buffer.add_char b '\r'
-          | 'u' ->
-              (* good enough for our ASCII escapes *)
-              advance (); advance (); advance ();
-              Buffer.add_char b '?'
-          | c -> Buffer.add_char b c);
-          advance ();
-          go ()
-      | '\255' -> fail "unterminated string"
-      | c ->
-          Buffer.add_char b c;
-          advance ();
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then begin advance (); Obj [] end
-        else begin
-          let fields = ref [] in
-          let rec members () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            fields := (k, v) :: !fields;
-            skip_ws ();
-            if peek () = ',' then begin advance (); members () end else expect '}'
-          in
-          members ();
-          Obj (List.rev !fields)
-        end
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then begin advance (); List [] end
-        else begin
-          let items = ref [] in
-          let rec elements () =
-            items := parse_value () :: !items;
-            skip_ws ();
-            if peek () = ',' then begin advance (); elements () end else expect ']'
-          in
-          elements ();
-          List (List.rev !items)
-        end
-    | '"' -> Str (parse_string ())
-    | 't' -> pos := !pos + 4; Bool true
-    | 'f' -> pos := !pos + 5; Bool false
-    | 'n' -> pos := !pos + 4; Null
-    | _ ->
-        let start = !pos in
-        while
-          !pos < n
-          && (match s.[!pos] with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false)
-        do
-          advance ()
-        done;
-        if !pos = start then fail "unexpected character";
-        Num (float_of_string (String.sub s start (!pos - start)))
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let field name = function
-  | Obj fields -> (try Some (List.assoc name fields) with Not_found -> None)
-  | _ -> None
+let decode s = match J.parse s with Ok j -> j | Error e -> Alcotest.fail ("exported JSON: " ^ e)
+let field = J.member
 
 let num_exn name j =
-  match field name j with Some (Num f) -> int_of_float f | _ -> failwith ("missing number " ^ name)
+  match Option.bind (field name j) J.number with
+  | Some f -> int_of_float f
+  | None -> failwith ("missing number " ^ name)
 
 let str_exn name j =
-  match field name j with Some (Str s) -> s | _ -> failwith ("missing string " ^ name)
+  match field name j with Some (J.String s) -> s | _ -> failwith ("missing string " ^ name)
 
 let test_histogram_p100_true_max () =
   let m = M.create () in
@@ -269,7 +166,7 @@ let test_histogram_p100_true_max () =
      observed max, not the bucket bound. *)
   Alcotest.(check int) "p100 is the observed max" 1000 (M.percentile h 100.0);
   Alcotest.(check (float 1e-9)) "mean of {3, 1000}" 501.5 (M.mean h);
-  (match field "histograms" (parse_json (M.to_json m)) with
+  (match field "histograms" (decode (M.to_json m)) with
   | Some hs -> (
       match field "h" hs with
       | Some hj ->
@@ -297,8 +194,8 @@ let test_chrome_export () =
   Tr.complete t ~bucket:"kernel" ~arg:39 ~vcpu:1 ~vmpl:3 ~ts:300 ~dur:50 Tr.Syscall;
   Tr.span_begin t ~bucket:"monitor" ~vcpu:0 ~vmpl:0 ~ts:1000 "os_call";
   Tr.span_end t ~vcpu:0 ~vmpl:0 ~ts:1100 "os_call";
-  let json = parse_json (Obs.Chrome_trace.to_json t) in
-  let evs = match field "traceEvents" json with Some (List l) -> l | _ -> failwith "no traceEvents" in
+  let json = decode (Obs.Chrome_trace.to_json t) in
+  let evs = match field "traceEvents" json with Some (J.List l) -> l | _ -> failwith "no traceEvents" in
   let is_meta e = str_exn "ph" e = "M" in
   let data = List.filter (fun e -> not (is_meta e)) evs in
   Alcotest.(check int) "all seven events exported" 7 (List.length data);
@@ -318,7 +215,7 @@ let test_chrome_export () =
     List.filter_map
       (fun e ->
         match field "args" e with
-        | Some a -> (match field "id" a with Some (Num f) -> Some (int_of_float f) | _ -> None)
+        | Some a -> Option.map int_of_float (Option.bind (field "id" a) J.number)
         | None -> None)
       data
   in
@@ -348,8 +245,8 @@ let test_metrics_json_parses () =
   M.incr (M.counter m "a.b");
   M.set (M.gauge m "g\"q") 3;
   M.observe (M.histogram m "h") 128;
-  match parse_json (M.to_json m) with
-  | Obj _ as j ->
+  match decode (M.to_json m) with
+  | J.Obj _ as j ->
       (match field "counters" j with
       | Some c -> Alcotest.(check int) "counter round-trips" 1 (num_exn "a.b" c)
       | None -> Alcotest.fail "no counters object")
@@ -504,8 +401,8 @@ let test_chrome_truncation_warning () =
   for i = 0 to 39 do
     Tr.emit t ~vcpu:0 ~vmpl:0 ~ts:i Tr.Npf
   done;
-  let json = parse_json (Obs.Chrome_trace.to_json t) in
-  let evs = match field "traceEvents" json with Some (List l) -> l | _ -> failwith "no traceEvents" in
+  let json = decode (Obs.Chrome_trace.to_json t) in
+  let evs = match field "traceEvents" json with Some (J.List l) -> l | _ -> failwith "no traceEvents" in
   match List.find_opt (fun e -> str_exn "name" e = "trace_truncated") evs with
   | Some e ->
       Alcotest.(check string) "global instant" "i" (str_exn "ph" e);
@@ -528,9 +425,9 @@ let test_chrome_flow_events () =
   (* single-lane id: two events, both on (vmpl 2, vcpu 0) *)
   Tr.emit t ~vcpu:0 ~vmpl:2 ~ts:300 ~id:9 Tr.Vmgexit;
   Tr.emit t ~vcpu:0 ~vmpl:2 ~ts:310 ~id:9 Tr.Vmenter;
-  let json = parse_json (Obs.Chrome_trace.to_json t) in
-  let evs = match field "traceEvents" json with Some (List l) -> l | _ -> failwith "no traceEvents" in
-  let cat e = match field "cat" e with Some (Str s) -> s | _ -> "" in
+  let json = decode (Obs.Chrome_trace.to_json t) in
+  let evs = match field "traceEvents" json with Some (J.List l) -> l | _ -> failwith "no traceEvents" in
+  let cat e = match field "cat" e with Some (J.String s) -> s | _ -> "" in
   let flows = List.filter (fun e -> cat e = "veil.flow") evs in
   Alcotest.(check (list string)) "s at the start, t on the hop, f at the end"
     [ "s"; "t"; "f" ]
@@ -549,14 +446,14 @@ let test_chrome_flow_events () =
       Alcotest.(check int) "f back at the origin" 3 (num_exn "pid" f);
       Alcotest.(check bool) "f carries the enclosing-slice binding"
         true
-        (match field "bp" f with Some (Str "e") -> true | _ -> false)
+        (match field "bp" f with Some (J.String "e") -> true | _ -> false)
   | _ -> Alcotest.fail "expected exactly three flow points")
 
 let test_metrics_json_tail_percentiles () =
   let m = M.create () in
   let h = M.histogram m "lat" in
   for _ = 1 to 10 do M.observe h 1000 done;
-  match field "histograms" (parse_json (M.to_json m)) with
+  match field "histograms" (decode (M.to_json m)) with
   | Some hs -> (
       match field "lat" hs with
       | Some hj ->

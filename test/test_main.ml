@@ -20,6 +20,7 @@ let () =
       ("smp", T_smp.suite);
       ("facade", T_facade.suite);
       ("obs", T_obs.suite);
+      ("json", T_json.suite);
       ("chaos", T_chaos.suite);
       ("ring", T_ring.suite);
       ("pulse", T_pulse.suite);
