@@ -951,7 +951,7 @@ let chaos_cmd =
         trials (List.length workloads) r.Chaos_driver.rp_attacks_run;
       List.iter
         (fun t ->
-          Printf.printf "  %-8s seed=%-10d steps=%-6d hits=%-4d %s\n"
+          Printf.printf "  %-8s seed=%-20d steps=%-6d hits=%-4d %s\n"
             (Chaos_driver.workload_name t.Chaos_driver.tr_workload)
             t.Chaos_driver.tr_seed t.Chaos_driver.tr_steps
             (Chaos.Fault_plan.total_hits t.Chaos_driver.tr_plan)

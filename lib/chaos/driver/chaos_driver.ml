@@ -7,6 +7,7 @@ module B = Veil_core.Boot
 module A = Veil_attacks.Attacks
 module Rt = Enclave_sdk.Runtime
 module Smp = Veil_core.Smp
+module Rng = Veil_crypto.Rng
 
 type workload_kind = Wl_boot | Wl_syscall | Wl_enclave | Wl_slog | Wl_pulse
 
@@ -49,12 +50,6 @@ type trial = {
   tr_hits : (string * int) list;
   tr_plan : FP.t;
 }
-
-(* One integer drives everything: a trial's plan seed is a fixed mix of
-   the top-level seed, the trial round and the workload slot, so any
-   failing plan is reproduced from the numbers the driver prints. *)
-let derive_seed ~seed ~trial ~which =
-  (((seed * 1_000_003) + (trial * 8191) + (which * 127)) land 0x3FFF_FFFF) lor 1
 
 (* Per-site default probabilities.  Sites consulted once per world exit
    fire rarely (the guest takes thousands of exits per trial); sites
@@ -113,7 +108,7 @@ let run_boot () =
 let run_syscall ~seed ~vcpus () =
   let sys = B.boot_veil ~npages:trial_npages ~seed:31 () in
   let kernel = sys.B.kernel and hv = sys.B.hv and vcpu = sys.B.vcpu in
-  let payload = Veil_crypto.Rng.bytes (Veil_crypto.Rng.create (seed lxor 0xF11E)) 512 in
+  let payload = Rng.bytes (Rng.create (Rng.derive seed ~domain:Workload_input)) 512 in
   let degraded = ref None in
   let note e = if !degraded = None then degraded := Some e in
   let round_trip proc path =
@@ -191,7 +186,7 @@ let run_syscall ~seed ~vcpus () =
 let run_enclave ~seed () =
   let sys = B.boot_veil ~npages:trial_npages ~seed:31 () in
   let proc = K.spawn sys.B.kernel in
-  let binary = Veil_crypto.Rng.bytes (Veil_crypto.Rng.create (seed lxor 0xE9C)) 8192 in
+  let binary = Rng.bytes (Rng.create (Rng.derive seed ~domain:Workload_input)) 8192 in
   match Rt.create sys ~binary proc with
   | Error e -> Degraded ("enclave create refused: " ^ e)
   | Ok rt ->
@@ -351,13 +346,17 @@ type report = {
 let run ?sites ?(trials = 3) ?(workloads = all_workloads) ?(check_replay = true) ?(vcpus = 1)
     ~seed () =
   let all_trials = ref [] and breached = ref [] and attacks_run = ref 0 in
+  (* Each trial's plan seed derives from the top-level seed, the round
+     and the workload slot, so a failing trial replays from the seed
+     the driver prints. *)
   for k = 0 to trials - 1 do
     List.iteri
       (fun widx w ->
-        let s = derive_seed ~seed ~trial:k ~which:widx in
+        let s = Rng.derive seed ~domain:(Trial { trial = k; slot = widx }) in
         all_trials := run_workload ?sites ~vcpus ~seed:s w :: !all_trials)
       workloads;
-    let b, n = attacks_under_chaos ?sites ~seed:(derive_seed ~seed ~trial:k ~which:99) () in
+    let attack_seed = Rng.derive seed ~domain:(Trial { trial = k; slot = 99 }) in
+    let b, n = attacks_under_chaos ?sites ~seed:attack_seed () in
     breached := b @ !breached;
     attacks_run := !attacks_run + n
   done;

@@ -47,11 +47,6 @@ type trial = {
   tr_plan : Chaos.Fault_plan.t;  (** the spent plan (journal inside) *)
 }
 
-val derive_seed : seed:int -> trial:int -> which:int -> int
-(** The deterministic seed mixer: plan seed for [which] (workload
-    index, or 99 for the attack sweep) of trial [trial] under
-    top-level [seed]. *)
-
 val make_plan : ?sites:Chaos.Fault_plan.site list -> seed:int -> unit -> Chaos.Fault_plan.t
 (** A trial plan: the selected sites (default: all 12) armed at the
     driver's default per-site probabilities, watchdog budget set. *)

@@ -1,8 +1,10 @@
-(* Deterministic seed-driven fault plan.  Everything here is immediate
-   ints — the PRNG is a 63-bit xorshift over a mutable int field, and
+(* Deterministic seed-driven fault plan.  Draws come from the plan's
+   own [Rng.Fault_plan] stream, which allocates nothing, and
    zero-probability sites short-circuit before touching it — so an
    armed plan whose sites are all disarmed costs the hot paths exactly
    one load + compare and zero allocation. *)
+
+module Rng = Veil_crypto.Rng
 
 type site =
   | Relay_drop
@@ -84,7 +86,7 @@ let prob_one = 65536
 
 type t = {
   seed : int;
-  mutable state : int;  (* xorshift state, never 0 *)
+  rng : Rng.t;
   prob : int array;     (* per-site threshold, 0 = disarmed *)
   max_hits : int array; (* -1 = unlimited *)
   skip : int array;     (* eligible draws to ignore before the first hit *)
@@ -98,15 +100,9 @@ type t = {
 }
 
 let create ?(max_steps = 1_000_000_000) ?(journal_cap = 65536) ~seed () =
-  let mixed = (seed * 0x9E3779B1) lxor (seed lsr 16) lxor 0x6A09E667 in
   {
     seed;
-    (* [lor 1] is load-bearing, not belt-and-braces: xorshift fixes 0,
-       and seeds solving [mixed land max_int = 0] exist (e.g.
-       0x396b1b8a8b9b10bc) — without it the armed plan would silently
-       never fire.  Covered by the adversarial-seed regression in
-       t_chaos.ml; do not "simplify" away. *)
-    state = (mixed land max_int) lor 1;
+    rng = Rng.create (Rng.derive seed ~domain:Fault_plan);
     prob = Array.make nsites 0;
     max_hits = Array.make nsites (-1);
     skip = Array.make nsites 0;
@@ -130,16 +126,7 @@ let set_site t site ?(max_hits = -1) ?(skip = 0) ~prob () =
   t.max_hits.(i) <- max_hits;
   t.skip.(i) <- skip
 
-(* 63-bit xorshift; immediate-int arithmetic only *)
-let next t =
-  let x = t.state in
-  let x = x lxor ((x lsl 13) land max_int) in
-  let x = x lxor (x lsr 7) in
-  let x = x lxor ((x lsl 17) land max_int) in
-  t.state <- x;
-  x
-
-let draw t n = if n <= 0 then 0 else next t mod n
+let draw t n = if n <= 0 then 0 else Rng.int t.rng n
 
 let site_enabled t site = Array.unsafe_get t.prob (site_index site) <> 0
 
@@ -152,7 +139,7 @@ let fire t site =
     t.draws_a.(i) <- d;
     if d <= t.skip.(i) then false
     else if t.max_hits.(i) >= 0 && t.hits.(i) >= t.max_hits.(i) then false
-    else if next t land 0xFFFF < p then begin
+    else if Rng.int t.rng prob_one < p then begin
       t.hits.(i) <- t.hits.(i) + 1;
       if t.journal_len < t.journal_cap then begin
         t.journal_rev <- (t.nsteps, i) :: t.journal_rev;

@@ -3,17 +3,19 @@
     A fault plan is a deterministic, seed-driven schedule of
     hypervisor-side misbehaviours: every injection site in the
     simulator asks the plan [fire plan site] at the moment it *could*
-    misbehave, and the plan answers from a seeded PRNG and per-site
-    probability/count schedules.  There is no wall-clock anywhere —
-    replaying the same seed against the same workload reproduces the
-    identical injection journal, which is what lets a failing chaos
-    trial be debugged from nothing but the seed printed on failure.
+    misbehave, and the plan answers from its seed's
+    [Veil_crypto.Rng.Fault_plan] stream and per-site probability/count
+    schedules.  There is no wall-clock anywhere — replaying the same
+    seed against the same workload reproduces the identical injection
+    journal, which is what lets a failing chaos trial be debugged from
+    nothing but the seed printed on failure.
 
-    The module is dependency-free so the lowest layers (sevsnp,
-    hypervisor) can hold a plan without cycles.  Hot-path discipline:
-    when a site's probability is zero, [fire] returns [false] without
-    consuming PRNG state or allocating, so an armed all-zero plan is
-    indistinguishable (cycle- and allocation-wise) from no plan. *)
+    The module depends only on [veil_crypto] so the lowest layers
+    (sevsnp, hypervisor) can hold a plan without cycles.  Hot-path
+    discipline: when a site's probability is zero, [fire] returns
+    [false] without consuming PRNG state or allocating, so an armed
+    all-zero plan is indistinguishable (cycle- and allocation-wise)
+    from no plan. *)
 
 type site =
   | Relay_drop      (** hypervisor silently drops an interrupt relay *)
@@ -70,8 +72,8 @@ val site_enabled : t -> site -> bool
 
 val draw : t -> int -> int
 (** Uniform draw in [\[0, n)] for injection parameters (delay
-    magnitude, which bit to flip, ...).  Deterministic given the call
-    sequence. *)
+    magnitude, which bit to flip, ...); [0] when [n <= 0].
+    Deterministic given the call sequence. *)
 
 val step : t -> bool
 (** Advance the watchdog step counter (called once per VM-exit).

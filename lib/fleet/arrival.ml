@@ -1,30 +1,8 @@
-(* Open-loop arrival generation (see the .mli).  Everything is
-   immediate-int or local-float arithmetic; one [t] per stream, no
-   allocation per draw. *)
+(* Open-loop arrival generation (see the .mli).  Draws come from the
+   caller's [Rng.t]; the models below only shape them. *)
 
 module C = Sevsnp.Cycles
-
-let mask = max_int (* 63-bit state/output space, like the chaos PRNG *)
-
-(* Domain tag: ASCII "ARRIVAL" in the low 56 bits.  The chaos family
-   mixes [seed * 0x9E3779B1 lxor (seed lsr 16) lxor 0x6A09E667]
-   (lib/chaos/fault_plan.ml); the arrival family must stay independent
-   of it under *identical* seeds, so it goes through a SplitMix-style
-   finalizer keyed by this tag instead.  Do not "unify" the two mixes:
-   the whole point is that they differ. *)
-let domain_arrival = 0x41525249_56414C
-
-(* 63-bit truncations of the SplitMix64 constants; the truncation only
-   has to keep the mix a bijection-ish scramble, not match the 64-bit
-   reference outputs. *)
-let gamma = 0x1E3779B97F4A7C15
-let mix_m1 = 0x3F58476D1CE4E5B9
-let mix_m2 = 0x14D049BB133111EB
-
-let finalize z =
-  let z = (z lxor (z lsr 30)) * mix_m1 land mask in
-  let z = (z lxor (z lsr 27)) * mix_m2 land mask in
-  z lxor (z lsr 31)
+module Rng = Veil_crypto.Rng
 
 type process =
   | Poisson of { rate : float }
@@ -38,55 +16,29 @@ let mean_rate = function
       ((low *. dwell_low) +. (high *. dwell_high)) /. (dwell_low +. dwell_high)
 
 type t = {
-  mutable st : int;
+  rng : Rng.t;
   proc : process;
   mutable high_state : bool;
   mutable dwell_left : float; (* cycles remaining in the current MMPP state *)
 }
 
-(* State transition is the in-repo 13/7/17 xorshift; the *output* adds
-   an xorshift*-style odd multiplier the fault-plan stream lacks, so
-   even a state collision with the chaos family would not replay its
-   outputs. *)
-let star = 0x2545F4914F6CDD1D
-
-let draw t =
-  let x = t.st in
-  let x = x lxor ((x lsl 13) land mask) in
-  let x = x lxor (x lsr 7) in
-  let x = x lxor ((x lsl 17) land mask) in
-  t.st <- x;
-  x * star land mask
-
-let uniform t n = if n <= 0 then 0 else draw t mod n
-
-(* u in (0, 1]: 53 uniform bits (draws carry 62 — OCaml ints are
-   63-bit signed), never 0 so log u is finite. *)
-let u01 t = float_of_int ((draw t lsr 9) + 1) /. 9007199254740993.0
-
-let exp_draw t mean = -.mean *. log (u01 t)
+let exp_draw rng mean = -.mean *. log (Rng.unit_float rng)
 
 let freq = float_of_int C.freq_hz
 
-let make ~seed ~stream proc =
-  let z = ((seed lxor domain_arrival) + (((stream + 1) * gamma) land mask)) land mask in
-  let t =
-    { st = finalize z lor 1 (* xorshift fixes 0; [lor 1] keeps adversarial seeds live *);
-      proc;
-      high_state = false;
-      dwell_left = 0.0 }
-  in
+let make rng proc =
+  let t = { rng; proc; high_state = false; dwell_left = 0.0 } in
   (match proc with
   | Poisson _ -> ()
-  | Mmpp { dwell_low; _ } -> t.dwell_left <- exp_draw t (dwell_low *. freq));
+  | Mmpp { dwell_low; _ } -> t.dwell_left <- exp_draw rng (dwell_low *. freq));
   t
 
 let rec gap_cycles t =
   match t.proc with
-  | Poisson { rate } -> exp_draw t (freq /. rate)
+  | Poisson { rate } -> exp_draw t.rng (freq /. rate)
   | Mmpp m ->
       let rate = if t.high_state then m.high else m.low in
-      let g = exp_draw t (freq /. rate) in
+      let g = exp_draw t.rng (freq /. rate) in
       if g <= t.dwell_left then begin
         t.dwell_left <- t.dwell_left -. g;
         g
@@ -97,12 +49,12 @@ let rec gap_cycles t =
         let consumed = t.dwell_left in
         t.high_state <- not t.high_state;
         let dwell_mean = if t.high_state then m.dwell_high else m.dwell_low in
-        t.dwell_left <- exp_draw t (dwell_mean *. freq);
+        t.dwell_left <- exp_draw t.rng (dwell_mean *. freq);
         consumed +. gap_cycles t
       end
 
 let next_gap t = max 0 (int_of_float (gap_cycles t))
 
-let pareto_size t ~xm ~alpha ~cap =
-  let x = float_of_int xm /. (u01 t ** (1.0 /. alpha)) in
+let pareto_size rng ~xm ~alpha ~cap =
+  let x = float_of_int xm /. (Rng.unit_float rng ** (1.0 /. alpha)) in
   if x >= float_of_int cap then cap else max xm (int_of_float x)

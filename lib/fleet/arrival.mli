@@ -6,16 +6,8 @@
     omits (coordinated omission — the waiting client stops offering
     load exactly when the system is slow).
 
-    The PRNG here is a family of its own, domain-separated from the
-    chaos / interleaver seeds ([Chaos.Fault_plan]'s xorshift over a
-    [0x9E3779B1]/[0x6A09E667] mix): fleet runs reuse one operator seed
-    for fault plans *and* traffic, and a shared stream would correlate
-    fault bursts with arrival bursts, biasing every tail percentile.
-    Arrival state derives through a SplitMix-style finalizer under an
-    explicit ["ARRIVAL"] domain tag, and outputs go through an
-    xorshift* multiplier the fault-plan generator does not have — the
-    two families never produce the same stream, even on adversarial
-    seeds (see the regression in [test/t_fleet.ml]). *)
+    The models draw from a caller-supplied [Veil_crypto.Rng.t]; the
+    fleet gives them the [Rng.Arrivals] stream of its seed. *)
 
 type process =
   | Poisson of { rate : float }
@@ -31,21 +23,12 @@ val mean_rate : process -> float
 
 type t
 
-val make : seed:int -> stream:int -> process -> t
-(** [stream] splits one seed into independent generators (the fleet
-    uses stream 0 for arrivals and stream [guest_id + 1] for each
-    guest's request-content draws). *)
+val make : Veil_crypto.Rng.t -> process -> t
+(** An arrival stream drawing its gaps from the given generator. *)
 
 val next_gap : t -> int
 (** Cycles until the next arrival (>= 0). *)
 
-val pareto_size : t -> xm:int -> alpha:float -> cap:int -> int
+val pareto_size : Veil_crypto.Rng.t -> xm:int -> alpha:float -> cap:int -> int
 (** Heavy-tailed request size: truncated Pareto on [[xm, cap]] with
     shape [alpha] (smaller = heavier tail). *)
-
-val uniform : t -> int -> int
-(** Uniform draw in [[0, n-1]]; 0 when [n <= 0]. *)
-
-val draw : t -> int
-(** One raw 63-bit output (exposed for the domain-separation
-    regression tests). *)

@@ -11,6 +11,7 @@
    The queue model is per-lane FCFS under round-robin dispatch. *)
 
 module Arrival = Arrival
+module Rng = Veil_crypto.Rng
 module T = Sevsnp.Types
 module P = Sevsnp.Platform
 module V = Sevsnp.Vcpu
@@ -73,8 +74,6 @@ let default =
     hostile = None;
     first_guest = 0;
   }
-
-let guest_seed cfg id = (((cfg.seed + 1) * 1_000_003) + ((id + 1) * 48271)) land max_int
 
 let guest_npages = 4096
 
@@ -139,7 +138,7 @@ type guest = {
   g_smp : Smp.t;
   g_env : Env.t; (* server-side process *)
   g_cli : Env.t; (* load-generator process, same guest *)
-  g_rng : Arrival.t; (* request-content stream: arrival family, stream id+1 *)
+  g_rng : Rng.t; (* request-content stream *)
   g_state : wl_state;
   g_plan : FP.t option;
   g_lat : M.histogram;
@@ -171,15 +170,15 @@ let derived_plan seed =
   FP.set_site plan FP.Spurious_exit ~prob:0.02 ();
   plan
 
-let mk_env kernel proc ~rings ~seed =
+let mk_env kernel proc ~rings ~rng =
   {
     Env.sys = (fun s a -> Kern.invoke kernel proc s a);
     compute = (fun n -> V.charge (Kern.vcpu kernel) C.Compute n);
-    env_rng = Veil_crypto.Rng.create seed;
+    env_rng = rng;
     env_rings = rings;
   }
 
-let sql_pad rng n = String.init n (fun _ -> Char.chr (Char.code 'a' + Arrival.uniform rng 26))
+let sql_pad rng n = String.init n (fun _ -> Char.chr (Char.code 'a' + Rng.int rng 26))
 
 let setup_workload cfg env cli rng =
   match cfg.workload with
@@ -230,7 +229,7 @@ let setup_workload cfg env cli rng =
       St_sql { db; next_row = 0 }
 
 let boot_guest cfg id =
-  let seed = guest_seed cfg id in
+  let seed = Rng.derive cfg.seed ~domain:(Guest id) in
   let plan = if cfg.chaos then Some (derived_plan seed) else None in
   let sys = B.boot_veil ~npages:guest_npages ~seed ?chaos:plan () in
   let smp = Smp.bring_up sys ~nvcpus:cfg.vcpus () in
@@ -245,9 +244,10 @@ let boot_guest cfg id =
        is pread/pwrite/fsync, so audit those *)
     | Sqldb -> [ S.Pread64; S.Pwrite64; S.Fsync ]);
   Kern.set_audit_protection kernel true;
-  let env = mk_env kernel (Kern.spawn kernel) ~rings:cfg.rings ~seed:(seed lxor 0x5EED) in
-  let cli = mk_env kernel (Kern.spawn kernel) ~rings:cfg.rings ~seed:(seed lxor 0xC11) in
-  let rng = Arrival.make ~seed:cfg.seed ~stream:(id + 1) cfg.process in
+  let stream domain = Rng.create (Rng.derive seed ~domain) in
+  let env = mk_env kernel (Kern.spawn kernel) ~rings:cfg.rings ~rng:(stream Server) in
+  let cli = mk_env kernel (Kern.spawn kernel) ~rings:cfg.rings ~rng:(stream Client) in
+  let rng = stream Content in
   let state = setup_workload cfg env cli rng in
   let reg = sys.B.platform.P.metrics in
   let g =
@@ -292,8 +292,8 @@ let serve_http g server port =
   | None -> failwith "fleet http: no response"
 
 let serve_mc g store conn server_conn =
-  let key = Printf.sprintf "key%d" (Arrival.uniform g.g_rng 64) in
-  if Arrival.uniform g.g_rng 10 = 0 then begin
+  let key = Printf.sprintf "key%d" (Rng.int g.g_rng 64) in
+  if Rng.int g.g_rng 10 = 0 then begin
     let sz = Arrival.pareto_size g.g_rng ~xm:64 ~alpha:1.3 ~cap:4096 in
     ignore (Env.send g.g_cli conn (Bytes.of_string (Printf.sprintf "set %s %d\n" key sz)));
     Workloads.Servers.memcached_serve g.g_env store server_conn;
@@ -309,7 +309,7 @@ let serve_sql g (st : wl_state) =
   match st with
   | St_sql s ->
       let stmt =
-        if Arrival.uniform g.g_rng 10 = 0 then begin
+        if Rng.int g.g_rng 10 = 0 then begin
           let row = s.next_row in
           s.next_row <- row + 1;
           (* rows are capped at 64 bytes by the engine; keep key + pad
@@ -317,7 +317,7 @@ let serve_sql g (st : wl_state) =
           let pad = Arrival.pareto_size g.g_rng ~xm:8 ~alpha:1.3 ~cap:40 in
           Printf.sprintf "INSERT INTO kv VALUES ('n%d', '%s')" row (sql_pad g.g_rng pad)
         end
-        else Printf.sprintf "SELECT v FROM kv WHERE k = 'k%d'" (Arrival.uniform g.g_rng 32)
+        else Printf.sprintf "SELECT v FROM kv WHERE k = 'k%d'" (Rng.int g.g_rng 32)
       in
       (match Sqldb.exec s.db stmt with
       | Ok _ -> ()
@@ -504,7 +504,7 @@ let validate cfg =
 let run cfg =
   validate cfg;
   let guests = Array.init cfg.guests (fun i -> boot_guest cfg (cfg.first_guest + i)) in
-  let arr = Arrival.make ~seed:cfg.seed ~stream:0 cfg.process in
+  let arr = Arrival.make (Rng.create (Rng.derive cfg.seed ~domain:Arrivals)) cfg.process in
   let lbj = Buffer.create cfg.requests in
   (match cfg.mode with
   | Open_loop ->

@@ -70,12 +70,9 @@ val default : config
     calibrated single-lane service rate, open loop, round-robin,
     seed 97. *)
 
-val guest_seed : config -> int -> int
-(** The derived per-guest boot seed for guest id [i]. *)
-
 type guest_report = {
   gr_id : int;
-  gr_seed : int;
+  gr_seed : int;  (** boot seed: [Rng.derive seed ~domain:(Guest id)] *)
   gr_requests : int;
   gr_p50 : int;  (** sojourn percentiles, cycles *)
   gr_p99 : int;

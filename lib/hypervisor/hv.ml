@@ -371,9 +371,9 @@ let inject_interrupt t vcpu =
    check keep holding with SMP guests.  Two policies:
 
    - [Round_robin]: cursor walks 0..n-1, skipping non-runnable VCPUs.
-   - [Seeded]: an xorshift stream (same 63-bit generator family as
-     {!Chaos.Fault_plan}) picks the starting VCPU each step; the scan
-     to the first runnable VCPU from there is deterministic too.
+   - [Seeded]: the seed's [Rng.Interleave] stream picks the starting
+     VCPU each step; the scan to the first runnable VCPU from there is
+     deterministic too.
 
    Every choice is appended to a journal (one digit per step) so two
    runs can be compared byte-for-byte and a diverging schedule can be
@@ -399,7 +399,8 @@ module Interleave = struct
   type sched = {
     nvcpus : int;
     policy : policy;
-    mutable state : int;
+    rng : Veil_crypto.Rng.t option; (* [Some] iff [Seeded] *)
+    picks : int option array; (* [Some v] per VCPU, so a step allocates nothing *)
     mutable cursor : int;
     mutable steps : int;
     journal : Buffer.t;
@@ -412,53 +413,41 @@ module Interleave = struct
         (* the journal encodes one VCPU id per character *)
         invalid_arg "Hv.Interleave.create: scripted/guided schedules support at most 10 VCPUs"
     | _ -> ());
-    let state =
+    let rng =
       match policy with
-      | Round_robin | Scripted _ | Guided _ -> 1
-      | Seeded seed ->
-          (* Same avalanche + force-odd trick as the chaos PRNG: the
-             all-zero fixpoint is unreachable for every seed. *)
-          let mixed = (seed * 0x9E3779B1) lxor (seed lsr 16) lxor 0x6A09E667 in
-          (mixed land max_int) lor 1
+      | Seeded seed -> Some Veil_crypto.Rng.(create (derive seed ~domain:Interleave))
+      | Round_robin | Scripted _ | Guided _ -> None
     in
-    { nvcpus; policy; state; cursor = 0; steps = 0; journal = Buffer.create 256 }
-
-  (* 63-bit xorshift (13/7/17), kept inside [max_int]. *)
-  let next_raw t =
-    let s = t.state in
-    let s = s lxor (s lsl 13) land max_int in
-    let s = s lxor (s lsr 7) in
-    let s = s lxor (s lsl 17) land max_int in
-    t.state <- s;
-    s
+    { nvcpus; policy; rng; picks = Array.init nvcpus Option.some; cursor = 0; steps = 0;
+      journal = Buffer.create 256 }
 
   let record t v =
     t.cursor <- (v + 1) mod t.nvcpus;
     t.steps <- t.steps + 1;
-    Buffer.add_string t.journal (string_of_int v);
-    Some v
+    if v < 10 then Buffer.add_char t.journal (Char.unsafe_chr (48 + v))
+    else Buffer.add_string t.journal (string_of_int v);
+    t.picks.(v)
 
   (* Runnable VCPUs in ascending id order — the branch-point alphabet. *)
   let enabled t ~runnable =
     let rec go v acc = if v < 0 then acc else go (v - 1) (if runnable v then v :: acc else acc) in
     go (t.nvcpus - 1) []
 
+  (* First runnable VCPU at or after [start], wrapping; -1 if none. *)
+  let rec scan t runnable start k =
+    if k >= t.nvcpus then -1
+    else
+      let v = (start + k) mod t.nvcpus in
+      if runnable v then v else scan t runnable start (k + 1)
+
   let next t ~runnable =
     match t.policy with
-    | Round_robin | Seeded _ -> (
+    | Round_robin | Seeded _ ->
         let start =
-          match t.policy with
-          | Round_robin -> t.cursor
-          | Seeded _ -> next_raw t mod t.nvcpus
-          | Scripted _ | Guided _ -> assert false
+          match t.rng with Some r -> Veil_crypto.Rng.int r t.nvcpus | None -> t.cursor
         in
-        let rec scan k =
-          if k >= t.nvcpus then None
-          else
-            let v = (start + k) mod t.nvcpus in
-            if runnable v then Some v else scan (k + 1)
-        in
-        match scan 0 with Some v -> record t v | None -> None)
+        let v = scan t runnable start 0 in
+        if v < 0 then None else record t v
     | Scripted j -> (
         match enabled t ~runnable with
         | [] -> None

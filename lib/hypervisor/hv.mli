@@ -70,9 +70,9 @@ module Interleave : sig
   type policy =
     | Round_robin  (** cursor walks 0..n-1, skipping idle VCPUs *)
     | Seeded of int
-        (** an xorshift stream (chaos-PRNG family) picks the start
-            VCPU each step; the scan to the first runnable one from
-            there is deterministic too *)
+        (** the seed's [Veil_crypto.Rng.Interleave] stream picks the
+            start VCPU each step; the scan to the first runnable one
+            from there is deterministic too *)
     | Scripted of string
         (** byte-for-byte replay of a recorded journal: step [i] takes
             the VCPU named by character [i].  Raises

@@ -58,13 +58,9 @@ let test_plan_schedules () =
   Alcotest.(check (list bool)) "skip ignores the first eligible draws"
     [ false; false; true; true; true ] fired
 
-(* Adversarial seeds for the state derivation
-   [(mixed land max_int) lor 1]: seed 0, int extremes, and the two
-   seeds that solve [mixed land max_int = 0] (found by fixing the 16
-   free low bits and back-substituting through the multiply).  Without
-   the [lor 1] the xorshift state sticks at 0 — every [draw] returns 0
-   and the schedule degenerates.  Each seed must yield a well-mixed,
-   reproducible stream. *)
+(* Adversarial seeds: 0, the int extremes, and two seeds that once
+   zeroed the plan's seed mix.  Each must yield a well-mixed,
+   reproducible stream and an armed plan that both fires and misses. *)
 let test_plan_adversarial_seeds () =
   let seeds = [ 0; max_int; min_int; 0x396b1b8a8b9b10bc; -3824519917198271814 ] in
   List.iter

@@ -246,6 +246,61 @@ let test_rng_deterministic () =
   let c = Rng.create 8 in
   Alcotest.(check bool) "different seed differs" false (Rng.next64 (Rng.create 7) = Rng.next64 c)
 
+(* Golden vectors recorded before the state moved into an unboxed
+   buffer: every seeded run in the simulator (boot, keys, workloads)
+   depends on these staying bit-identical. *)
+let test_rng_golden () =
+  let first8 seed =
+    let r = Rng.create seed in
+    List.init 8 (fun _ -> Rng.next64 r)
+  in
+  Alcotest.(check (list int64))
+    "create 0"
+    [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L; -537132696929009172L;
+      1961750202426094747L; 6038094601263162090L; 3207296026000306913L; -4214222208109204676L ]
+    (first8 0);
+  Alcotest.(check (list int64))
+    "create 42"
+    [ -4767286540954276203L; 2949826092126892291L; 5139283748462763858L; 6349198060258255764L;
+      701532786141963250L; -2430762948046562554L; 4028864712777624925L; -3677692746721775708L ]
+    (first8 42);
+  Alcotest.(check (list int64))
+    "create max_int"
+    [ 4890637089070741670L; 1157452369933151741L; -643383930175548127L; 7976771587059178518L;
+      -5092280845031213240L; -2271687024784822601L; -4834145098101050242L; 571570269043650935L ]
+    (first8 max_int);
+  let r = Rng.create 42 in
+  let s = Rng.split r in
+  Alcotest.(check (list int64))
+    "split of create 42"
+    [ -4204815582636234286L; 7040222520599051659L; -5426180739752472406L; -7348579604204979571L ]
+    (List.init 4 (fun _ -> Rng.next64 s));
+  Alcotest.(check int64) "split consumes one parent draw" 2949826092126892291L (Rng.next64 r);
+  Alcotest.(check string)
+    "bytes 16 of create 7" "u\135\128rv\132=\191\216\218\186\203\211\012y~"
+    (Bytes.to_string (Rng.bytes (Rng.create 7) 16));
+  let r = Rng.create 1000 in
+  Alcotest.(check (list int))
+    "int 1000 of create 1000"
+    [ 194; 163; 780; 489; 887; 296; 309; 757 ]
+    (List.init 8 (fun _ -> Rng.int r 1000))
+
+(* Advancing the state allocates nothing, so an int draw costs 0 minor
+   words; the unit float stays inside (0, 1). *)
+let test_rng_alloc_free () =
+  let r = Rng.create 3 in
+  let n = 10_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    ignore (Sys.opaque_identity (Rng.int r 1000))
+  done;
+  Alcotest.(check (float 0.0)) "int words per draw" 0.0
+    ((Gc.minor_words () -. before) /. float_of_int n);
+  for _ = 1 to n do
+    let u = Rng.unit_float r in
+    if not (u > 0.0 && u < 1.0) then Alcotest.failf "unit_float %h outside (0, 1)" u
+  done
+
 let rng_int_bounds =
   QCheck.Test.make ~name:"rng int within bounds" ~count:300
     (QCheck.make QCheck.Gen.(pair small_nat (1 -- 10000)))
@@ -282,5 +337,7 @@ let suite =
     ("schnorr serialization", `Quick, test_schnorr_serialization);
     ("measurement framing", `Quick, test_measurement_framing);
     ("rng determinism", `Quick, test_rng_deterministic);
+    ("rng golden vectors", `Quick, test_rng_golden);
+    ("rng draws allocate nothing", `Quick, test_rng_alloc_free);
     q rng_int_bounds;
   ]

@@ -67,50 +67,85 @@ let test_merge_gauges_and_empties () =
       Alcotest.(check int) "max survives the empty operand" 42 (M.hist_max h)
   | _ -> Alcotest.fail "merged registry lost the histogram"
 
-(* --- arrival PRNG: domain separation from the chaos family --- *)
+(* --- PRNG domains: every stream one seed drives is its own --- *)
 
-(* Reference reimplementation of lib/chaos/fault_plan.ml's raw stream:
-   same state derivation, same 13/7/17 xorshift, raw state as output. *)
-let chaos_stream seed n =
-  let mixed = (seed * 0x9E3779B1) lxor (seed lsr 16) lxor 0x6A09E667 in
-  let st = ref ((mixed land max_int) lor 1) in
-  List.init n (fun _ ->
-      let x = !st in
-      let x = x lxor ((x lsl 13) land max_int) in
-      let x = x lxor (x lsr 7) in
-      let x = x lxor ((x lsl 17) land max_int) in
-      st := x;
-      x)
+module Rng = Veil_crypto.Rng
+module I = Hypervisor.Hv.Interleave
 
-(* The same adversarial seeds as the chaos regression (t_chaos.ml):
-   0, the int extremes, and the two seeds that zero the chaos mix.
-   For each, the arrival stream must be alive (well-mixed, replayable)
-   AND nowhere equal to the chaos stream under the *same* seed — fleet
-   runs reuse one operator seed for both families. *)
+let domains =
+  Rng.
+    [ ("fault-plan", Fault_plan); ("interleave", Interleave); ("arrivals", Arrivals);
+      ("content", Content); ("server", Server); ("client", Client);
+      ("workload-input", Workload_input); ("guest 0", Guest 0); ("guest 1", Guest 1);
+      ("trial 0/0", Trial { trial = 0; slot = 0 }); ("trial 0/1", Trial { trial = 0; slot = 1 });
+      ("trial 1/99", Trial { trial = 1; slot = 99 }) ]
+
+let raw seed domain n =
+  let r = Rng.create (Rng.derive seed ~domain) in
+  List.init n (fun _ -> Rng.next64 r)
+
+(* Adversarial seeds: 0, the int extremes, and the two seeds that
+   zeroed the retired xorshift mix.  Under each, every domain's stream
+   is alive (well-mixed, replayable) and no two domains share a value
+   at the same position: a fleet or chaos run reuses one operator seed
+   for all of them. *)
 let test_arrival_adversarial_domain_separation () =
   let seeds = [ 0; max_int; min_int; 0x396b1b8a8b9b10bc; -3824519917198271814 ] in
   List.iter
     (fun seed ->
-      let tag = Printf.sprintf "seed %#x" seed in
-      let arrivals stream =
-        let t = A.make ~seed ~stream (A.Poisson { rate = 1000.0 }) in
-        List.init 64 (fun _ -> A.draw t)
-      in
-      let arr = arrivals 0 in
-      let distinct = Hashtbl.create 64 in
-      List.iter (fun x -> Hashtbl.replace distinct x ()) arr;
-      Alcotest.(check bool) (tag ^ ": draws are non-degenerate") true (Hashtbl.length distinct > 32);
-      Alcotest.(check (list int)) (tag ^ ": replay-identical") arr (arrivals 0);
-      Alcotest.(check bool) (tag ^ ": streams are split") true (arr <> arrivals 1);
-      let chaos = chaos_stream seed 64 in
-      Alcotest.(check bool) (tag ^ ": not the chaos stream") true (arr <> chaos);
-      let collisions = List.fold_left2 (fun n a c -> if a = c then n + 1 else n) 0 arr chaos in
-      Alcotest.(check int) (tag ^ ": no positionwise collisions") 0 collisions)
+      let streams = List.map (fun (name, d) -> (name, raw seed d 64)) domains in
+      List.iter2
+        (fun (name, xs) (_, d) ->
+          let tag = Printf.sprintf "seed %#x, %s" seed name in
+          let distinct = Hashtbl.create 64 in
+          List.iter (fun x -> Hashtbl.replace distinct x ()) xs;
+          Alcotest.(check int) (tag ^ ": draws are non-degenerate") 64 (Hashtbl.length distinct);
+          Alcotest.(check (list int64)) (tag ^ ": replay-identical") xs (raw seed d 64))
+        streams domains;
+      List.iteri
+        (fun i (a, xs) ->
+          List.iteri
+            (fun j (b, ys) ->
+              if i < j then
+                let shared = List.fold_left2 (fun n x y -> if x = y then n + 1 else n) 0 xs ys in
+                Alcotest.(check int)
+                  (Printf.sprintf "seed %#x: %s vs %s share no position" seed a b)
+                  0 shared)
+            streams)
+        streams)
     seeds
+
+(* The consumers draw from their own domain: the fault plan's [draw]
+   and the Seeded interleaver's picks replay [Rng.int] over the
+   Fault_plan and Interleave streams.  Under one seed the two used to
+   be the same xorshift, so the interleaver's pick equalled
+   [Fault_plan.draw plan 4] at every step; independent streams agree
+   about a quarter of the time. *)
+let test_chaos_and_interleaver_streams () =
+  List.iter
+    (fun seed ->
+      let tag = Printf.sprintf "seed %d" seed in
+      let stream domain = Rng.create (Rng.derive seed ~domain) in
+      let plan = FP.create ~seed () and fp = stream Fault_plan in
+      let sched = I.create ~policy:(I.Seeded seed) ~nvcpus:4 () and il = stream Interleave in
+      let same = ref 0 in
+      for _ = 1 to 1000 do
+        let d = FP.draw plan 4 and pick = I.next sched ~runnable:(fun _ -> true) in
+        Alcotest.(check int) (tag ^ ": plan draws its own stream") (Rng.int fp 4) d;
+        Alcotest.(check (option int))
+          (tag ^ ": interleaver picks from its own stream")
+          (Some (Rng.int il 4)) pick;
+        if pick = Some d then incr same
+      done;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: picks match plan draws %d/1000, near chance" tag !same)
+        true
+        (!same > 150 && !same < 350))
+    [ 1; 11; 1911; 123456 ]
 
 let test_arrival_poisson_mean_gap () =
   let rate = 10_000.0 in
-  let t = A.make ~seed:7 ~stream:0 (A.Poisson { rate }) in
+  let t = A.make (Rng.create 7) (A.Poisson { rate }) in
   let n = 4000 in
   let total = ref 0 in
   for _ = 1 to n do
@@ -135,7 +170,7 @@ let test_arrival_mmpp_burstiness () =
     "dwell-weighted mean rate"
     true
     (abs_float (mean_rate -. ((2_000.0 *. 0.004) +. (50_000.0 *. 0.001)) /. 0.005) < 1e-6);
-  let t = A.make ~seed:11 ~stream:0 proc in
+  let t = A.make (Rng.create 11) proc in
   let n = 6000 in
   let gaps = Array.init n (fun _ -> float_of_int (A.next_gap t)) in
   let mean = Array.fold_left ( +. ) 0.0 gaps /. float_of_int n in
@@ -148,7 +183,7 @@ let test_arrival_mmpp_burstiness () =
     true (scv > 1.3)
 
 let test_arrival_pareto_bounds () =
-  let t = A.make ~seed:23 ~stream:0 (A.Poisson { rate = 1.0 }) in
+  let t = Rng.create 23 in
   let saw_above_min = ref false in
   let total = ref 0 in
   for _ = 1 to 2000 do
@@ -304,6 +339,7 @@ let suite =
     ( "arrival: adversarial seeds, domain-separated from chaos",
       `Quick,
       test_arrival_adversarial_domain_separation );
+    ("prng: chaos plan and interleaver draw separate streams", `Quick, test_chaos_and_interleaver_streams);
     ("arrival: poisson mean inter-arrival gap", `Quick, test_arrival_poisson_mean_gap);
     ("arrival: mmpp is burstier than poisson", `Quick, test_arrival_mmpp_burstiness);
     ("arrival: pareto sizes are bounded and heavy-tailed", `Quick, test_arrival_pareto_bounds);
