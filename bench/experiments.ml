@@ -615,8 +615,8 @@ let efleet ?(scale = 1) () =
   let grid = [ (1, 4); (2, 4); (4, 4) ] in
   Printf.printf
     "\nopen loop at 60%% of calibrated capacity (merged-histogram sojourn, cycles):\n";
-  Printf.printf "  %6s %6s %10s %10s %10s %10s %10s %8s\n" "guests" "vcpus" "offered" "achieved"
-    "p50" "p99" "p999" "queue%";
+  Printf.printf "  %6s %6s %10s %10s %10s %10s %10s %9s\n" "guests" "vcpus" "offered" "achieved"
+    "p50" "p99" "p999" "monQ/busy";
   List.iter
     (fun (g, v) ->
       let cfg = base g v (g * v * 24) in
@@ -631,10 +631,13 @@ let efleet ?(scale = 1) () =
               b + gr.Fleet.gr_wait.Veil_core.Monitor.ws_busy_cycles ))
           (0, 0) r.Fleet.r_guests
       in
-      Printf.printf "  %6d %6d %10.0f %10.0f %10d %10d %10d %7.1f%%\n" g v r.Fleet.r_offered
+      Printf.printf "  %6d %6d %10.0f %10.0f %10d %10d %10d %8.1f%%\n" g v r.Fleet.r_offered
         r.Fleet.r_throughput r.Fleet.r_p50 r.Fleet.r_p99 r.Fleet.r_p999
         (if busy = 0 then 0.0 else 100.0 *. float_of_int queued /. float_of_int busy))
     grid;
+  Printf.printf
+    "  monQ/busy: VeilMon queued cycles over VeilMon busy cycles, summed over guests\n\
+    \  (a ratio, may exceed 100%%; not a share of time, not fleet queueing)\n";
   (* coordinated omission: the same overloaded box measured both ways *)
   let co_cfg = base 4 4 384 in
   let closed = Fleet.run { co_cfg with mode = Fleet.Closed_loop } in

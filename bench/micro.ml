@@ -224,7 +224,10 @@ let alloc_check () =
      all probability-0 must allocate exactly as much as disarmed
      (zero-probability fire consumes no PRNG draw and allocates
      nothing).  Measured on the chaos-checked path — the full
-     OS→VeilMon→OS domain-switch round trip. *)
+     OS→VeilMon→OS domain-switch round trip, which itself allocates
+     nothing: the posted request is a per-VMPL constant, the relay's
+     instance and GHCB lookups hash int keys without building options,
+     and VMENTER reuses the VCPU's cached [Some] per VMPL. *)
   let mon = sys.Veil_core.Boot.mon in
   let ds () =
     Veil_core.Monitor.domain_switch mon vcpu ~target:Veil_core.Privdom.Mon;
@@ -263,6 +266,51 @@ let alloc_check () =
     inter_step ()
   done;
   let g_int = words_per_op rng_int and g_inter = words_per_op inter_step in
+  (* Audit-path contract: an audited write drags a kaudit record
+     through os_call into a VeilS-LOG append.  Measured as audited
+     minus unaudited words for the same write to /dev/null, in chunks
+     of 500 calls with the log region cleared between chunks (outside
+     the count) so it never fills.  What the path may allocate is what
+     it keeps plus two transient words each way:
+       record 6 + kaudit buffer cell 3 + detail string 5
+       ("uid=0 euid=0 a0=F a1=<buf:64>") + chain digest 6
+       + IDCB request 2 + service reply 2 = 24 words. *)
+  let audit_ceiling = 24.0 in
+  let audit_words () =
+    let slog = sys.Veil_core.Boot.slog in
+    let proc = Guest_kernel.Kernel.spawn kernel in
+    let fd =
+      match
+        Guest_kernel.Kernel.invoke kernel proc Guest_kernel.Sysno.Open
+          [ Guest_kernel.Ktypes.Str "/dev/null"; Guest_kernel.Ktypes.Int 1; Guest_kernel.Ktypes.Int 0 ]
+      with
+      | Guest_kernel.Ktypes.RInt fd -> fd
+      | _ -> failwith "micro: open /dev/null"
+    in
+    let args = [ Guest_kernel.Ktypes.Int fd; Guest_kernel.Ktypes.Buf (Bytes.make 64 'w') ] in
+    let wr () = ignore (Guest_kernel.Kernel.invoke kernel proc Guest_kernel.Sysno.Write args) in
+    let chunked () =
+      wr ();
+      let words = ref 0.0 in
+      for _ = 1 to 40 do
+        Veil_core.Slog.clear slog;
+        let before = Gc.minor_words () in
+        for _ = 1 to 500 do
+          wr ()
+        done;
+        words := !words +. (Gc.minor_words () -. before)
+      done;
+      !words /. 20_000.0
+    in
+    let audit = Guest_kernel.Kernel.audit kernel in
+    Guest_kernel.Audit.clear_rules audit;
+    let plain = chunked () in
+    Guest_kernel.Audit.set_rules audit [ Guest_kernel.Sysno.Write ];
+    let audited = chunked () in
+    Guest_kernel.Audit.clear_rules audit;
+    Veil_core.Slog.clear slog;
+    audited -. plain
+  in
   let quiet_tr = Obs.Trace.create ~capacity:64 () in
   let sc_plain = sched_words None in
   let sc_armed =
@@ -284,6 +332,7 @@ let alloc_check () =
   let w_off = words_per_op wr and r_off = words_per_op rd and x_off = words_per_op ex in
   let t_off = words_per_op tl in
   let s_off = words_per_op sy in
+  let a_delta = audit_words () in
   (* Exitless contract: a prepared submission into the shared-arena
      ring is pure stores + integer math — the enclave-side submit path
      allocates nothing (§10's other future-work path, next to rings). *)
@@ -326,22 +375,26 @@ let alloc_check () =
     d_disarmed d_armed;
   Printf.printf "  domain-switch roundtrip: pulse disarmed %.4f w/op, armed no-capture %.4f w/op\n"
     p_disarmed p_armed;
+  Printf.printf "  audited write -> VeilS-LOG append: %.4f w/op over unaudited (ceiling %.0f)\n"
+    a_delta audit_ceiling;
   Printf.printf "  sched yield step: wait_obs unarmed %.4f w/op, armed tracer-off %.4f w/op\n"
     sc_plain sc_armed;
   Printf.printf "  Rng.int draw: %.4f w/op; Seeded interleaver step: %.4f w/op\n" g_int g_inter;
   if
     x_off = 0.0 && x_on = 0.0 && w_off = 0.0 && w_on = 0.0 && r_off = 0.0 && r_on = 0.0
-    && t_off = 0.0 && t_on = 0.0 && s_off = 0.0 && e_sub = 0.0 && d_armed = d_disarmed
-    && sc_armed = sc_plain && p_armed = p_disarmed && g_int = 0.0 && g_inter = 0.0
+    && t_off = 0.0 && t_on = 0.0 && s_off = 0.0 && e_sub = 0.0 && d_disarmed = 0.0
+    && d_armed = 0.0 && sc_armed = sc_plain && p_disarmed = 0.0 && p_armed = 0.0 && g_int = 0.0
+    && g_inter = 0.0 && a_delta <= audit_ceiling
   then
     print_endline
       "  PASS: checked physical access, the TLB-hit translated path, the\n\
-      \        profiler-disabled syscall path and the exitless submit path\n\
-      \        allocate nothing; an armed zero-probability chaos plan costs\n\
-      \        the same as disarmed, an armed wait_obs with the tracer\n\
-      \        off costs the yield path nothing, and an armed pulse\n\
-      \        sampler between captures costs what disarmed costs; an\n\
-      \        Rng draw and a Seeded interleaver step allocate nothing"
+      \        profiler-disabled syscall path, the exitless submit path and\n\
+      \        the OS->VeilMon->OS domain-switch round trip allocate\n\
+      \        nothing (disarmed, armed zero-probability chaos, armed idle\n\
+      \        pulse sampler); an armed wait_obs with the tracer off costs\n\
+      \        the yield path nothing; an Rng draw and a Seeded interleaver\n\
+      \        step allocate nothing; an audited write allocates no more\n\
+      \        than the record, detail, chain digest and IDCB hand-off"
   else begin
     print_endline "  FAIL: an instrumented hot path allocates";
     exit 1

@@ -1522,8 +1522,8 @@ let fleet_cmd =
         r.Fleet.r_p50 r.Fleet.r_p99 r.Fleet.r_p999 r.Fleet.r_mean;
       p "merged-registry digest: %s\n" r.Fleet.r_merged_digest;
       if replay then p "replay check: PASS (byte-identical report on re-run)\n";
-      p "\n  %-5s %8s %10s %10s %10s %10s %7s %6s %8s\n" "guest" "reqs" "p50" "p99" "p999"
-        "mean-svc" "queue%" "slog" "blocked";
+      p "\n  %-5s %8s %10s %10s %10s %10s %9s %6s %8s\n" "guest" "reqs" "p50" "p99" "p999"
+        "mean-svc" "monQ/busy" "slog" "blocked";
       Array.iter
         (fun g ->
           let w = g.Fleet.gr_wait in
@@ -1534,13 +1534,15 @@ let fleet_cmd =
               *. float_of_int w.Veil_core.Monitor.ws_queued_cycles
               /. float_of_int w.Veil_core.Monitor.ws_busy_cycles
           in
-          p "  %-5s %8d %10d %10d %10d %10.0f %6.1f%% %6s %8s\n"
+          p "  %-5s %8d %10d %10d %10d %10.0f %8.1f%% %6s %8s\n"
             (Printf.sprintf "%d%s" g.Fleet.gr_id (if g.Fleet.gr_hostile then "!" else ""))
             g.Fleet.gr_requests g.Fleet.gr_p50 g.Fleet.gr_p99 g.Fleet.gr_p999 g.Fleet.gr_mean_svc
             qpct
             (if g.Fleet.gr_slog_ok then "ok" else "BROKEN")
             (if g.Fleet.gr_hostile then string_of_int g.Fleet.gr_blocked else "-"))
         r.Fleet.r_guests;
+      p "  monQ/busy: VeilMon queued cycles over VeilMon busy cycles (a ratio, may exceed 100%%;\n";
+      p "  not a share of time, not fleet queueing)\n";
       match hostile with
       | None -> ()
       | Some h ->

@@ -161,9 +161,11 @@ let add_protected_frames t ~owner frames =
 
 let remove_protected_frames t frames = List.iter (Hashtbl.remove t.protected_single) frames
 
-let frame_is_protected t gpfn =
-  Hashtbl.mem t.protected_single gpfn
-  || List.exists (fun (lo, hi, _) -> gpfn >= lo && gpfn < hi) t.protected
+let rec in_ranges gpfn = function
+  | [] -> false
+  | (lo, hi, _) :: rest -> (gpfn >= lo && gpfn < hi) || in_ranges gpfn rest
+
+let frame_is_protected t gpfn = Hashtbl.mem t.protected_single gpfn || in_ranges gpfn t.protected
 
 let gpa_is_protected t gpa = frame_is_protected t (T.gpfn_of_gpa gpa)
 
@@ -203,9 +205,9 @@ let vmsa_of t ~vcpu_id ~dom =
   | None -> failwith (Printf.sprintf "no %s instance for vcpu %d" (Privdom.to_string dom) vcpu_id)
 
 let idcb_of t ~vcpu_id =
-  match Hashtbl.find_opt t.idcbs vcpu_id with
-  | Some i -> i
-  | None -> failwith (Printf.sprintf "no IDCB for vcpu %d" vcpu_id)
+  match Hashtbl.find t.idcbs vcpu_id with
+  | i -> i
+  | exception Not_found -> failwith (Printf.sprintf "no IDCB for vcpu %d" vcpu_id)
 
 let mon_ghcb t =
   match P.ghcb_at t.platform (T.gpfn_of_gpa t.mon_ghcb_gpa) with
@@ -397,57 +399,58 @@ let initialize t ~kernel_entry =
 
 (* --- domain switches --- *)
 
+(* The relay is a *request* to an untrusted hypervisor: verify the
+   switch actually landed in the target instance before executing a
+   single further instruction that assumes it.  A refused relay is
+   retried with backoff; a hypervisor that keeps refusing earns an
+   explicit halt (never a silent wrong-domain execution or a spin).
+   The posted request is a preallocated constant, so a switch that
+   lands first time allocates nothing. *)
+let rec relay_switch t vcpu (ghcb : Sevsnp.Ghcb.t) target_vmpl n =
+  ghcb.Sevsnp.Ghcb.request <- Sevsnp.Ghcb.domain_switch_request target_vmpl;
+  P.vmgexit t.platform vcpu ~ghcb:true;
+  if not (T.equal_vmpl (V.vmpl vcpu) target_vmpl) then begin
+    if n >= max_retries then
+      P.halt t.platform
+        (Printf.sprintf "domain switch refused by hypervisor for %d attempts" (max_retries + 1))
+    else begin
+      Obs.Metrics.incr t.c_switch_retries;
+      V.charge vcpu C.Switch (backoff_cycles n);
+      relay_switch t vcpu ghcb target_vmpl (n + 1)
+    end
+  end
+
 let domain_switch t vcpu ~target =
   let ghcb =
-    match P.ghcb_of_vcpu t.platform vcpu with
-    | Some g -> g
-    | None -> P.halt t.platform "domain switch without a GHCB"
+    match P.current_ghcb t.platform vcpu with
+    | g -> g
+    | exception Not_found -> P.halt t.platform "domain switch without a GHCB"
   in
   (* One frame per relayed switch: its children are the exit legs, the
      host relay, and the entry legs — the paper's six-leg breakdown. *)
   V.open_frame vcpu "domain_switch";
-  let target_vmpl = Privdom.vmpl target in
-  (* The relay is a *request* to an untrusted hypervisor: verify the
-     switch actually landed in the target instance before executing a
-     single further instruction that assumes it.  A refused relay is
-     retried with backoff; a hypervisor that keeps refusing earns an
-     explicit halt (never a silent wrong-domain execution or a spin). *)
-  let rec attempt n =
-    ghcb.Sevsnp.Ghcb.request <- Sevsnp.Ghcb.Req_domain_switch { target_vmpl };
-    P.vmgexit t.platform vcpu ~ghcb:true;
-    if not (T.equal_vmpl (V.vmpl vcpu) target_vmpl) then begin
-      if n >= max_retries then
-        P.halt t.platform
-          (Printf.sprintf "domain switch refused by hypervisor for %d attempts" (max_retries + 1))
-      else begin
-        Obs.Metrics.incr t.c_switch_retries;
-        V.charge vcpu C.Switch (backoff_cycles n);
-        attempt (n + 1)
-      end
-    end
-  in
-  attempt 0;
+  relay_switch t vcpu ghcb (Privdom.vmpl target) 0;
   V.close_frame vcpu
 
 (* --- sanitization (§8.1) --- *)
 
 let sanitize t vcpu (req : Idcb.request) : (unit, string) result =
   V.charge vcpu C.Monitor 250;
-  let bad_frame gpfn = frame_is_protected t gpfn in
   match req with
   | Idcb.R_pvalidate { gpfn; _ } ->
-      if bad_frame gpfn then Error "pvalidate target is a protected frame" else Ok ()
+      if frame_is_protected t gpfn then Error "pvalidate target is a protected frame" else Ok ()
   | Idcb.R_log_fetch { dest_gpa; _ } ->
       if gpa_is_protected t dest_gpa then Error "log fetch destination points into protected memory"
       else Ok ()
   | Idcb.R_enclave_finalize d ->
       V.charge vcpu C.Monitor (20 * Guest_kernel.Enclave_desc.npages d);
-      if List.exists bad_frame (Guest_kernel.Enclave_desc.frames d) then
+      if List.exists (frame_is_protected t) (Guest_kernel.Enclave_desc.frames d) then
         Error "enclave descriptor references protected frames"
-      else if bad_frame d.Guest_kernel.Enclave_desc.ghcb_gpfn then Error "enclave GHCB frame is protected"
+      else if frame_is_protected t d.Guest_kernel.Enclave_desc.ghcb_gpfn then
+        Error "enclave GHCB frame is protected"
       else Ok ()
   | Idcb.R_enclave_restore { gpfn; _ } ->
-      if bad_frame gpfn then Error "restore source is a protected frame" else Ok ()
+      if frame_is_protected t gpfn then Error "restore source is a protected frame" else Ok ()
   | _ -> Ok ()
 
 (* --- built-in delegation handlers (§5.3) --- *)
@@ -501,15 +504,13 @@ let classify_target (req : Idcb.request) : Privdom.t =
   | Idcb.R_pvalidate _ | Idcb.R_vcpu_boot _ -> Privdom.Mon
   | _ -> Privdom.Sec
 
+let rec try_services t vcpu req = function
+  | [] -> Idcb.Resp_error "no service owns this request"
+  | s :: rest -> (
+      match s.svc_handler t vcpu req with Some r -> r | None -> try_services t vcpu req rest)
+
 let dispatch t vcpu req =
-  match handle_delegation t vcpu req with
-  | Some r -> r
-  | None ->
-      let rec try_services = function
-        | [] -> Idcb.Resp_error "no service owns this request"
-        | s :: rest -> ( match s.svc_handler t vcpu req with Some r -> r | None -> try_services rest)
-      in
-      try_services t.services
+  match handle_delegation t vcpu req with Some r -> r | None -> try_services t vcpu req t.services
 
 (* Trusted-domain service of whatever request the IDCB currently
    carries.  Runs the sanitizer and dispatch at most once per IDCB
@@ -559,13 +560,18 @@ let rec max_clock bases vcpus acc =
       let c = V.rdtsc v - base in
       max_clock bases rest (if c > acc then c else acc)
 
-let ledger_enter t vcpu =
-  let arrival = max_clock t.ledger_clock_base t.platform.P.vcpus_rev 0 in
-  let queued = if t.mon_busy_until > arrival then t.mon_busy_until - arrival else 0 in
-  (arrival, queued, C.read_bucket vcpu.V.counter C.Monitor + C.read_bucket vcpu.V.counter C.Switch)
+(* Entry into the ledger is three ints read separately — arrival on
+   the machine clock, queueing behind the service in progress, and the
+   caller's Monitor+Switch cycles so far — so the os_call path builds
+   no tuple. *)
+let ledger_arrival t = max_clock t.ledger_clock_base t.platform.P.vcpus_rev 0
+
+let ledger_queued t ~arrival = if t.mon_busy_until > arrival then t.mon_busy_until - arrival else 0
+
+let monitor_cycles vcpu = C.read_bucket vcpu.V.counter C.Monitor + C.read_bucket vcpu.V.counter C.Switch
 
 let ledger_exit t vcpu ~tag ~arrival ~queued ~mon0 =
-  let service = C.read_bucket vcpu.V.counter C.Monitor + C.read_bucket vcpu.V.counter C.Switch - mon0 in
+  let service = monitor_cycles vcpu - mon0 in
   t.mon_busy_until <- arrival + queued + service;
   t.mon_entries <- t.mon_entries + 1;
   t.mon_busy_cycles <- t.mon_busy_cycles + service;
@@ -579,7 +585,8 @@ let ledger_exit t vcpu ~tag ~arrival ~queued ~mon0 =
 let os_call t vcpu (req : Idcb.request) : Idcb.response =
   t.stats.os_calls <- t.stats.os_calls + 1;
   Obs.Metrics.incr t.c_os_calls;
-  let arrival, queued, mon0 = ledger_enter t vcpu in
+  let arrival = ledger_arrival t in
+  let queued = ledger_queued t ~arrival and mon0 = monitor_cycles vcpu in
   (* An IDCB request is a request origin: mint a causal id if this VCPU
      is not already carrying one (e.g. an os_call issued from inside a
      traced syscall keeps the syscall's id). *)
@@ -730,7 +737,8 @@ let os_call_batch t vcpu ring =
     let n = Ring.pending ring in
     Obs.Metrics.incr t.c_ring_flushes;
     Obs.Metrics.add t.c_ring_slots n;
-    let arrival, queued, mon0 = ledger_enter t vcpu in
+    let arrival = ledger_arrival t in
+    let queued = ledger_queued t ~arrival and mon0 = monitor_cycles vcpu in
     let prof = t.platform.P.profiler in
     let minted = Obs.Profiler.enabled prof && V.causal_id vcpu = 0 in
     if minted then Obs.Profiler.set_id prof ~vcpu:vcpu.V.id (Obs.Profiler.mint prof);

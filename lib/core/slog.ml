@@ -21,6 +21,13 @@ type t = {
   mutable head : int;  (** next free byte offset within the region *)
   mutable nlines : int;
   mutable chain : bytes;
+      (** replaced, never mutated, on each append: a caller holding a
+          {!chain_digest} keeps the value it read *)
+  line : Buffer.t;  (** scratch: the record rendered by [Audit.add_line] *)
+  mutable frame : bytes;
+      (** scratch: 4-byte length prefix, then the line — exactly the
+          bytes one append writes to the region and hashes *)
+  ctx : Veil_crypto.Sha256.ctx;  (** reused by every chain step *)
 }
 
 (* Bounded buffered-retry queue (per VCPU shard): past this the service
@@ -44,38 +51,48 @@ let count t = t.nlines
 
 let chain_digest t = t.chain
 
-let extend_chain prev line =
-  let ctx = Veil_crypto.Sha256.init () in
-  Veil_crypto.Sha256.update ctx prev;
-  Veil_crypto.Sha256.update_string ctx line;
-  Veil_crypto.Sha256.finalize ctx
-
 let verify_chain ~lines ~digest =
-  let d = List.fold_left extend_chain (Bytes.make 32 '\000') lines in
-  Bytes.equal d digest
+  let ctx = Veil_crypto.Sha256.init () in
+  let step prev line =
+    Veil_crypto.Sha256.chain_step ctx prev (Bytes.unsafe_of_string line) 0 (String.length line)
+  in
+  Bytes.equal (List.fold_left step (Bytes.make 32 '\000') lines) digest
 
 let base_gpa t = T.gpa_of_gpfn t.region.Layout.lo
 
-(* Raw framed append of an already-in-chain-order line; the caller has
-   checked capacity and holds Dom_SEC write access to the region. *)
-let write_line t vcpu line =
+(* Make room for a [len]-byte line after the prefix; grows (and so
+   allocates) only past the longest line seen so far. *)
+let frame_for t len =
+  if Bytes.length t.frame < len + 4 then
+    t.frame <- Bytes.create (max (len + 4) (2 * Bytes.length t.frame))
+
+(* The one framed append: [t.frame] holds the [len]-byte line after
+   its prefix.  Writes the length prefix, copies the frame into the
+   region, and extends the chain over the line bytes in place.  The
+   caller has checked capacity and holds Dom_SEC write access to the
+   region. *)
+let write_frame t vcpu len =
   let platform = Monitor.platform t.mon in
-  let len = String.length line in
-  let framed = Bytes.create (4 + len) in
-  Bytes.set_int32_le framed 0 (Int32.of_int len);
-  Bytes.blit_string line 0 framed 4 len;
+  let f = t.frame in
+  Bytes.set f 0 (Char.unsafe_chr (len land 0xff));
+  Bytes.set f 1 (Char.unsafe_chr ((len lsr 8) land 0xff));
+  Bytes.set f 2 (Char.unsafe_chr ((len lsr 16) land 0xff));
+  Bytes.set f 3 (Char.unsafe_chr ((len lsr 24) land 0xff));
   Sevsnp.Vcpu.charge vcpu C.Copy (C.copy_cost (len + 4));
   Sevsnp.Vcpu.charge vcpu C.Monitor 350 (* bookkeeping *);
-  P.write platform vcpu (base_gpa t + t.head) framed;
+  P.write_sub platform vcpu (base_gpa t + t.head) f 0 (len + 4);
   Sevsnp.Vcpu.charge vcpu C.Crypto (C.hash_cost len);
-  t.chain <- extend_chain t.chain line;
+  t.chain <- Veil_crypto.Sha256.chain_step t.ctx t.chain f 4 len;
   t.head <- t.head + len + 4;
   t.nlines <- t.nlines + 1;
   Obs.Metrics.incr t.c_appended
 
 let append t vcpu (record : Guest_kernel.Audit.record) =
-  let line = Guest_kernel.Audit.to_line record in
-  let len = String.length line in
+  Buffer.clear t.line;
+  Guest_kernel.Audit.add_line t.line record;
+  let len = Buffer.length t.line in
+  frame_for t len;
+  Buffer.blit t.line 0 t.frame 4 len;
   if t.head + len + 4 > capacity_bytes t then begin
     Obs.Metrics.incr t.c_dropped;
     (* Degraded, not dead: park the record in the bounded retry buffer
@@ -83,7 +100,7 @@ let append t vcpu (record : Guest_kernel.Audit.record) =
        metrics registry, and answer with an explicit error. *)
     (let q = shard_of t vcpu in
      if Queue.length q < pending_cap then begin
-       Queue.push line q;
+       Queue.push (Buffer.contents t.line) q;
        Obs.Metrics.incr t.c_buffered;
        Obs.Metrics.set t.g_degraded 1
      end);
@@ -93,7 +110,7 @@ let append t vcpu (record : Guest_kernel.Audit.record) =
     let platform = Monitor.platform t.mon in
     Sevsnp.Vcpu.open_frame vcpu "slog_append";
     (* Length-prefixed append into the protected region (Dom_SEC rw). *)
-    write_line t vcpu line;
+    write_frame t vcpu len;
     (let tr = platform.P.tracer in
      if Obs.Trace.enabled tr then
        Obs.Trace.emit tr ~vcpu:vcpu.Sevsnp.Vcpu.id
@@ -154,7 +171,11 @@ let flush_pending t =
         while
           (not (Queue.is_empty q)) && t.head + String.length (Queue.peek q) + 4 <= capacity_bytes t
         do
-          write_line t vcpu (Queue.pop q)
+          let line = Queue.pop q in
+          let len = String.length line in
+          frame_for t len;
+          Bytes.blit_string line 0 t.frame 4 len;
+          write_frame t vcpu len
         done)
       t.pending;
     if need_switch then Monitor.domain_switch t.mon vcpu ~target:here
@@ -188,6 +209,9 @@ let install mon =
       head = 0;
       nlines = 0;
       chain = Bytes.make 32 '\000';
+      line = Buffer.create 256;
+      frame = Bytes.create 260;
+      ctx = Veil_crypto.Sha256.init ();
     }
   in
   Monitor.register_service mon ~name:"veils-log" ~target:Privdom.Sec (fun m vcpu req ->

@@ -46,10 +46,8 @@ let extend t vcpu ~pcr ~data =
     let platform = Monitor.platform t.mon in
     let current = P.read platform vcpu (pcr_gpa t pcr) pcr_size in
     Sevsnp.Vcpu.charge vcpu C.Crypto (C.hash_cost (pcr_size + Bytes.length data));
-    let ctx = Veil_crypto.Sha256.init () in
-    Veil_crypto.Sha256.update ctx current;
-    Veil_crypto.Sha256.update ctx data;
-    P.write platform vcpu (pcr_gpa t pcr) (Veil_crypto.Sha256.finalize ctx);
+    P.write platform vcpu (pcr_gpa t pcr)
+      (Veil_crypto.Sha256.chain_step (Veil_crypto.Sha256.init ()) current data 0 (Bytes.length data));
     t.extends <- t.extends + 1;
     Idcb.Resp_ok
   end
@@ -93,12 +91,9 @@ let make_quote t vcpu ~nonce =
   Idcb.Resp_quote (quote_to_bytes { q_pcrs = pcrs; q_nonce = nonce; q_signature = signature })
 
 let expected_pcr ~events =
+  let ctx = Veil_crypto.Sha256.init () in
   List.fold_left
-    (fun acc ev ->
-      let ctx = Veil_crypto.Sha256.init () in
-      Veil_crypto.Sha256.update ctx acc;
-      Veil_crypto.Sha256.update ctx ev;
-      Veil_crypto.Sha256.finalize ctx)
+    (fun acc ev -> Veil_crypto.Sha256.chain_step ctx acc ev 0 (Bytes.length ev))
     (Bytes.make pcr_size '\000') events
 
 let handler t _mon vcpu (req : Idcb.request) =

@@ -20,14 +20,17 @@ type ctx = {
   w : int array; (* message schedule scratch *)
 }
 
+let iv = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |]
+
+let reset ctx =
+  Array.blit iv 0 ctx.h 0 8;
+  ctx.buf_len <- 0;
+  ctx.total <- 0
+
 let init () =
-  {
-    h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
-    buf = Bytes.create 64;
-    buf_len = 0;
-    total = 0;
-    w = Array.make 64 0;
-  }
+  let ctx = { h = Array.make 8 0; buf = Bytes.create 64; buf_len = 0; total = 0; w = Array.make 64 0 } in
+  reset ctx;
+  ctx
 
 let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
 
@@ -69,54 +72,66 @@ let compress ctx block off =
   h.(6) <- (h.(6) + !g) land mask;
   h.(7) <- (h.(7) + !hh) land mask
 
-let update ctx data =
-  let len = Bytes.length data in
+let update_sub ctx data off len =
+  if off < 0 || len < 0 || off > Bytes.length data - len then invalid_arg "Sha256.update_sub";
   ctx.total <- ctx.total + len;
-  let pos = ref 0 in
+  let pos = ref off and stop = off + len in
   (* top up a partial block first *)
   if ctx.buf_len > 0 then begin
     let take = min (64 - ctx.buf_len) len in
-    Bytes.blit data 0 ctx.buf ctx.buf_len take;
+    Bytes.blit data off ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
-    pos := take;
+    pos := off + take;
     if ctx.buf_len = 64 then begin
       compress ctx ctx.buf 0;
       ctx.buf_len <- 0
     end
   end;
-  while len - !pos >= 64 do
+  while stop - !pos >= 64 do
     compress ctx data !pos;
     pos := !pos + 64
   done;
-  if !pos < len then begin
-    Bytes.blit data !pos ctx.buf 0 (len - !pos);
-    ctx.buf_len <- len - !pos
+  if !pos < stop then begin
+    Bytes.blit data !pos ctx.buf 0 (stop - !pos);
+    ctx.buf_len <- stop - !pos
   end
+
+let update ctx data = update_sub ctx data 0 (Bytes.length data)
 
 let update_string ctx s = update ctx (Bytes.unsafe_of_string s)
 
+(* Padding is laid out inside [ctx.buf]: 0x80, zeros, then the 64-bit
+   big-endian bit length in the last 8 bytes of the final block — a
+   second block when fewer than 9 bytes are left in the first. *)
 let finalize ctx =
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.set buf n '\x80';
+  if n + 1 > 56 then begin
+    Bytes.fill buf (n + 1) (63 - n) '\000';
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\000'
+  end
+  else Bytes.fill buf (n + 1) (55 - n) '\000';
   let total_bits = ctx.total * 8 in
-  let pad_len =
-    let rem = (ctx.total + 1) mod 64 in
-    if rem <= 56 then 56 - rem + 1 else 64 - rem + 56 + 1
-  in
-  let pad = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set pad 0 '\x80';
   for i = 0 to 7 do
-    Bytes.set pad (pad_len + i) (Char.chr ((total_bits lsr ((7 - i) * 8)) land 0xff))
+    Bytes.set buf (56 + i) (Char.unsafe_chr ((total_bits lsr ((7 - i) * 8)) land 0xff))
   done;
-  (* update would adjust [total]; that is harmless after length capture *)
-  update ctx pad;
-  assert (ctx.buf_len = 0);
+  compress ctx buf 0;
+  ctx.buf_len <- 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    Bytes.set out (4 * i) (Char.chr ((ctx.h.(i) lsr 24) land 0xff));
-    Bytes.set out (4 * i + 1) (Char.chr ((ctx.h.(i) lsr 16) land 0xff));
-    Bytes.set out (4 * i + 2) (Char.chr ((ctx.h.(i) lsr 8) land 0xff));
-    Bytes.set out (4 * i + 3) (Char.chr (ctx.h.(i) land 0xff))
+    Bytes.set out (4 * i) (Char.unsafe_chr ((ctx.h.(i) lsr 24) land 0xff));
+    Bytes.set out (4 * i + 1) (Char.unsafe_chr ((ctx.h.(i) lsr 16) land 0xff));
+    Bytes.set out (4 * i + 2) (Char.unsafe_chr ((ctx.h.(i) lsr 8) land 0xff));
+    Bytes.set out (4 * i + 3) (Char.unsafe_chr (ctx.h.(i) land 0xff))
   done;
   out
+
+let chain_step ctx prev data off len =
+  reset ctx;
+  update ctx prev;
+  update_sub ctx data off len;
+  finalize ctx
 
 let digest_bytes b =
   let ctx = init () in

@@ -13,7 +13,7 @@ type stats = {
 
 type t = {
   platform : P.t;
-  vmsas : (int * int, Sevsnp.Vmsa.t) Hashtbl.t; (* (vcpu_id, vmpl index) -> instance *)
+  vmsas : (int, Sevsnp.Vmsa.t) Hashtbl.t; (* [instance_key] -> instance *)
   switch_policy : (T.gpfn, (T.vmpl * T.vmpl) list) Hashtbl.t;
   (* Counters live in the platform's metrics registry; these are the
      interned handles. *)
@@ -43,19 +43,32 @@ let stats t =
     page_state_changes = Obs.Metrics.value t.c_psc;
   }
 
-let vmsa_for t ~vcpu_id ~vmpl = Hashtbl.find_opt t.vmsas (vcpu_id, T.vmpl_index vmpl)
+(* (vcpu_id, vmpl) packed into one int: the relay looks instances up
+   on every switch, and an int key hashes without allocating. *)
+let instance_key ~vcpu_id ~vmpl = (vcpu_id * 4) + T.vmpl_index vmpl
+
+(* Raises [Not_found]; the relay's allocation-free lookup. *)
+let find_vmsa t ~vcpu_id ~vmpl = Hashtbl.find t.vmsas (instance_key ~vcpu_id ~vmpl)
+
+let vmsa_for t ~vcpu_id ~vmpl =
+  match find_vmsa t ~vcpu_id ~vmpl with v -> Some v | exception Not_found -> None
 
 let register_vmsa t (vmsa : Sevsnp.Vmsa.t) =
-  Hashtbl.replace t.vmsas (vmsa.Sevsnp.Vmsa.vcpu_id, T.vmpl_index vmsa.Sevsnp.Vmsa.vmpl) vmsa
+  Hashtbl.replace t.vmsas
+    (instance_key ~vcpu_id:vmsa.Sevsnp.Vmsa.vcpu_id ~vmpl:vmsa.Sevsnp.Vmsa.vmpl)
+    vmsa
+
+let rec pair_listed a b = function
+  | [] -> false
+  | (x, y) :: rest ->
+      (T.equal_vmpl a x && T.equal_vmpl b y)
+      || (T.equal_vmpl a y && T.equal_vmpl b x)
+      || pair_listed a b rest
 
 let policy_allows t ~ghcb_gpfn ~a ~b =
-  match Hashtbl.find_opt t.switch_policy ghcb_gpfn with
-  | None -> true
-  | Some pairs ->
-      List.exists
-        (fun (x, y) ->
-          (T.equal_vmpl a x && T.equal_vmpl b y) || (T.equal_vmpl a y && T.equal_vmpl b x))
-        pairs
+  match Hashtbl.find t.switch_policy ghcb_gpfn with
+  | pairs -> pair_listed a b pairs
+  | exception Not_found -> true
 
 let handle_domain_switch t vcpu target_vmpl =
   let vmsa = Sevsnp.Vcpu.current_vmsa vcpu in
@@ -79,11 +92,11 @@ let handle_domain_switch t vcpu target_vmpl =
       (Format.asprintf "domain switch %a -> %a via GHCB frame %d violates installed policy" T.pp_vmpl from
          T.pp_vmpl target_vmpl ghcb_gpfn)
   else begin
-    match vmsa_for t ~vcpu_id:vcpu.Sevsnp.Vcpu.id ~vmpl:target_vmpl with
-    | None ->
+    match find_vmsa t ~vcpu_id:vcpu.Sevsnp.Vcpu.id ~vmpl:target_vmpl with
+    | exception Not_found ->
         P.halt t.platform
           (Format.asprintf "no VMSA registered for vcpu %d at %a" vcpu.Sevsnp.Vcpu.id T.pp_vmpl target_vmpl)
-    | Some target ->
+    | target ->
         Obs.Metrics.incr t.c_switches;
         P.vmenter t.platform vcpu target;
         (* Whole relayed switch as one span: from the moment the source
@@ -118,9 +131,9 @@ let handle_create_vcpu t vcpu ~vmsa_gpfn ~target_vmpl =
       end
 
 let service_exit t vcpu =
-  match P.ghcb_of_vcpu t.platform vcpu with
-  | None -> P.halt t.platform "non-automatic exit without a GHCB"
-  | Some ghcb -> (
+  match P.current_ghcb t.platform vcpu with
+  | exception Not_found -> P.halt t.platform "non-automatic exit without a GHCB"
+  | ghcb -> (
       match ghcb.G.request with
       | G.Req_none -> () (* automatic exit: nothing for the host to do *)
       | G.Req_domain_switch { target_vmpl } ->
@@ -309,9 +322,9 @@ let deliver_one t vcpu =
       end
       else begin
         P.vmgexit t.platform vcpu ~ghcb:false;
-        (match vmsa_for t ~vcpu_id:vcpu.Sevsnp.Vcpu.id ~vmpl:target with
-        | None -> P.halt t.platform "no relay-target instance"
-        | Some target_vmsa -> P.vmenter t.platform vcpu target_vmsa);
+        (match find_vmsa t ~vcpu_id:vcpu.Sevsnp.Vcpu.id ~vmpl:target with
+        | exception Not_found -> P.halt t.platform "no relay-target instance"
+        | target_vmsa -> P.vmenter t.platform vcpu target_vmsa);
         deliver ();
         P.vmgexit t.platform vcpu ~ghcb:false;
         P.vmenter t.platform vcpu interrupted

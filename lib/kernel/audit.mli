@@ -14,7 +14,19 @@ type record = {
   detail : string;  (** auditd-style key=value summary *)
 }
 
+val add_detail : Buffer.t -> uid:int -> euid:int -> Ktypes.arg list -> unit
+(** Append a record's [detail]: [uid=U euid=E] then [ aI=ARG] per
+    argument, each rendered by {!Ktypes.add_arg}.  Allocation-free into
+    a buffer with room. *)
+
+val add_line : Buffer.t -> record -> unit
+(** Append the auditd-style line
+    [type=SYSCALL seq=S tsc=T syscall=NAME(NR) pid=P DETAIL] — the
+    bytes VeilS-LOG stores and hash-chains.  Allocation-free into a
+    buffer with room. *)
+
 val to_line : record -> string
+(** {!add_line} into a fresh string. *)
 
 type t
 
@@ -28,9 +40,9 @@ val set_protect_hook : t -> (record -> unit) option -> unit
 (** VeilS-LOG's execute-ahead capture; runs synchronously in
     {!emit} before the record lands in the in-kernel buffer. *)
 
-val emit : t -> cycles:int -> sys:Sysno.t -> pid:int -> detail:string -> record option
-(** Builds + stores a record when a rule matches; [None] otherwise.
-    The caller charges the formatting cost. *)
+val emit : t -> cycles:int -> sys:Sysno.t -> pid:int -> detail:string -> unit
+(** Builds + stores a record when a rule matches (read them back with
+    {!records}).  The caller charges the formatting cost. *)
 
 val records : t -> record list
 (** Oldest first. *)

@@ -10,6 +10,7 @@ type t = {
   fs : Fs.t;
   net : Net.t;
   audit : Audit.t;
+  audit_buf : Buffer.t;  (* scratch for the execute-ahead record's detail *)
   rng : Veil_crypto.Rng.t;
   free_lo : int;
   free_hi : int;
@@ -178,6 +179,7 @@ let boot ~platform ~vcpu ~free_frames:(free_lo, free_hi) ~text_frames ~data_fram
       fs = Fs.create (Veil_crypto.Rng.split rng);
       net = Net.create ();
       audit = Audit.create ();
+      audit_buf = Buffer.create 256;
       rng;
       free_lo;
       free_hi;
@@ -862,10 +864,12 @@ let dispatch t (proc : Process.t) (sys : Sysno.t) (args : Ktypes.arg list) : Kty
       RErr ENOSYS
   | _ -> RErr EINVAL
 
-let audit_detail (proc : Process.t) args =
-  let buf = Buffer.create 64 in
-  Buffer.add_string buf (Printf.sprintf "uid=%d euid=%d" proc.Process.uid proc.Process.euid);
-  List.iteri (fun i a -> Buffer.add_string buf (Format.asprintf " a%d=%a" i Ktypes.pp_arg a)) args;
+(* The detail string is the only allocation: it is retained in the
+   record. *)
+let audit_detail t (proc : Process.t) args =
+  let buf = t.audit_buf in
+  Buffer.clear buf;
+  Audit.add_detail buf ~uid:proc.Process.uid ~euid:proc.Process.euid args;
   Buffer.contents buf
 
 let invoke t proc sys args =
@@ -883,9 +887,9 @@ let invoke t proc sys args =
      by the protect hook — *before* the event executes, so the log
      survives a compromise that happens at this very event. *)
   (if Audit.matches t.audit sys then begin
-     let detail = audit_detail proc args in
+     let detail = audit_detail t proc args in
      V.charge t.vcpu C.Kaudit_format C.kaudit_format;
-     ignore (Audit.emit t.audit ~cycles:(Sevsnp.Vcpu.rdtsc t.vcpu) ~sys ~pid:proc.Process.pid ~detail)
+     Audit.emit t.audit ~cycles:(Sevsnp.Vcpu.rdtsc t.vcpu) ~sys ~pid:proc.Process.pid ~detail
    end);
   let ret = dispatch t proc sys args in
   (* Veil-Ring flush point: deferred requests submitted during this

@@ -85,11 +85,57 @@ let ret_int = function
   | RErr e -> Error e
   | RBuf _ | RStat _ -> Error EINVAL
 
-let pp_arg fmt = function
-  | Int n -> Format.fprintf fmt "%d" n
-  | Str s -> Format.fprintf fmt "%S" s
-  | Buf b -> Format.fprintf fmt "<buf:%d>" (Bytes.length b)
-  | Ptr p -> Format.fprintf fmt "0x%x" p
+(* Buffer writers behind every audit rendering.  They allocate only
+   when the buffer grows (or a string needs escaping), and write the
+   bytes of Printf's %d, %S and 0x%x exactly. *)
+
+let rec add_nonpositive buf n =
+  if n <= -10 then add_nonpositive buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 - (n mod 10)))
+
+(* Digits are produced from the non-positive magnitude, so [min_int]
+   needs no special case. *)
+let add_int buf n =
+  if n < 0 then begin
+    Buffer.add_char buf '-';
+    add_nonpositive buf n
+  end
+  else add_nonpositive buf (-n)
+
+(* %x reads the 63-bit two's complement as unsigned: -1 is 7fff...f. *)
+let add_hex buf n =
+  let shift = ref 60 in
+  while !shift > 0 && n lsr !shift = 0 do
+    shift := !shift - 4
+  done;
+  while !shift >= 0 do
+    let d = (n lsr !shift) land 0xf in
+    Buffer.add_char buf (Char.unsafe_chr (if d < 10 then 48 + d else 87 + d));
+    shift := !shift - 4
+  done
+
+(* %S: quoted, [String.escaped] inside (which returns a string that
+   needs no escaping as is, without allocating). *)
+let add_quoted buf s =
+  Buffer.add_char buf '"';
+  Buffer.add_string buf (String.escaped s);
+  Buffer.add_char buf '"'
+
+let add_arg buf = function
+  | Int n -> add_int buf n
+  | Str s -> add_quoted buf s
+  | Buf b ->
+      Buffer.add_string buf "<buf:";
+      add_int buf (Bytes.length b);
+      Buffer.add_char buf '>'
+  | Ptr p ->
+      Buffer.add_string buf "0x";
+      add_hex buf p
+
+let pp_arg fmt a =
+  let buf = Buffer.create 16 in
+  add_arg buf a;
+  Format.pp_print_string fmt (Buffer.contents buf)
 
 let pp_ret fmt = function
   | RInt n -> Format.fprintf fmt "%d" n

@@ -51,5 +51,15 @@ val ret_errno : ret -> errno option
 val ret_int : ret -> (int, errno) result
 (** [Error EINVAL] when the return is not an int shape. *)
 
+val add_int : Buffer.t -> int -> unit
+(** Decimal, the bytes of [Printf]'s [%d]; allocation-free. *)
+
+val add_arg : Buffer.t -> arg -> unit
+(** The audit rendering of one argument: [Int] as [%d], [Str] as
+    [%S], [Buf] as [<buf:LEN>], [Ptr] as [0x%x].  Allocates only when
+    the buffer grows or a [Str] needs escaping. *)
+
 val pp_arg : Format.formatter -> arg -> unit
+(** {!add_arg} on a formatter. *)
+
 val pp_ret : Format.formatter -> ret -> unit

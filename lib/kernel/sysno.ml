@@ -54,13 +54,21 @@ let all = List.map (fun (t, _, _) -> t) table
 
 let count = List.length all
 
-let number t =
-  let _, n, _ = List.find (fun (x, _, _) -> x = t) table in
-  n
+(* Looked up on every syscall (kaudit rule matching compares numbers,
+   the audit line prints name and number): hashing the constant
+   constructor allocates nothing and costs the same for every call. *)
+let numbers = Hashtbl.create 128
+let names = Hashtbl.create 128
 
-let to_string t =
-  let _, _, s = List.find (fun (x, _, _) -> x = t) table in
-  s
+let () =
+  List.iter
+    (fun (t, n, s) ->
+      Hashtbl.replace numbers t n;
+      Hashtbl.replace names t s)
+    table
+
+let number t = Hashtbl.find numbers t
+let to_string t = Hashtbl.find names t
 
 let of_string s =
   List.find_opt (fun (_, _, n) -> n = s) table |> Option.map (fun (t, _, _) -> t)

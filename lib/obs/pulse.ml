@@ -21,12 +21,6 @@
 
 let zero32 = Bytes.make 32 '\000'
 
-let extend_chain prev line =
-  let ctx = Veil_crypto.Sha256.init () in
-  Veil_crypto.Sha256.update ctx prev;
-  Veil_crypto.Sha256.update_string ctx line;
-  Veil_crypto.Sha256.finalize ctx
-
 type interval = {
   mutable iv_index : int;  (** global interval number, 0-based *)
   mutable iv_t0 : int;  (** cycle at epoch open *)
@@ -229,7 +223,9 @@ let capture t =
   iv.iv_slots <- slots;
   let line = interval_line iv in
   iv.iv_digest <- Veil_crypto.Sha256.digest_string line;
-  t.chain <- extend_chain t.chain line;
+  t.chain <-
+    Veil_crypto.Sha256.chain_step (Veil_crypto.Sha256.init ()) t.chain
+      (Bytes.unsafe_of_string line) 0 (String.length line);
   let anchor =
     Printf.sprintf "pulse i=%d t1=%d digest=%s chain=%s" iv.iv_index iv.iv_t1
       (Veil_crypto.Sha256.hex_of_digest iv.iv_digest)
@@ -438,8 +434,13 @@ let verify_export t exported =
          matches the trusted head when the whole series is retained
          (no ring wraparound). *)
       if !err = None && first_retained t = 0 then begin
-        let chain = ref zero32 in
-        List.iter (fun line -> chain := extend_chain !chain line) lines;
+        let ctx = Veil_crypto.Sha256.init () and chain = ref zero32 in
+        List.iter
+          (fun line ->
+            chain :=
+              Veil_crypto.Sha256.chain_step ctx !chain (Bytes.unsafe_of_string line) 0
+                (String.length line))
+          lines;
         if not (Bytes.equal !chain t.chain) then err := Some (0, "chain head mismatch")
       end;
       (match !err with None -> Ok (retained t) | Some e -> Error e)

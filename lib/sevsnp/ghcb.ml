@@ -8,6 +8,12 @@ type request =
   | Req_relay_interrupts_to of Types.vmpl
   | Req_halt of string
 
+let domain_switch_request = function
+  | Types.Vmpl0 -> Req_domain_switch { target_vmpl = Types.Vmpl0 }
+  | Types.Vmpl1 -> Req_domain_switch { target_vmpl = Types.Vmpl1 }
+  | Types.Vmpl2 -> Req_domain_switch { target_vmpl = Types.Vmpl2 }
+  | Types.Vmpl3 -> Req_domain_switch { target_vmpl = Types.Vmpl3 }
+
 type t = {
   mutable request : request;
   mutable exit_info : int;

@@ -21,6 +21,10 @@ type request =
       (** VMPL-0 instructs the host where to deliver external interrupts *)
   | Req_halt of string
 
+val domain_switch_request : Types.vmpl -> request
+(** [Req_domain_switch] for a target VMPL: one preallocated constant
+    per VMPL, so posting a switch allocates nothing. *)
+
 type t = {
   mutable request : request;
   mutable exit_info : int;

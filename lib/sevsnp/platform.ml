@@ -461,9 +461,11 @@ let register_ghcb t gpa =
 
 let ghcb_at t gpfn = Hashtbl.find_opt t.ghcbs gpfn
 
-let ghcb_of_vcpu t vcpu =
+let current_ghcb t vcpu =
   let gpa = (Vcpu.current_vmsa vcpu).Vmsa.ghcb_gpa in
-  if gpa = 0 then None else ghcb_at t (Types.gpfn_of_gpa gpa)
+  if gpa = 0 then raise Not_found else Hashtbl.find t.ghcbs (Types.gpfn_of_gpa gpa)
+
+let ghcb_of_vcpu t vcpu = match current_ghcb t vcpu with g -> Some g | exception Not_found -> None
 
 let dispatch_exit t vcpu =
   match t.exit_handler with
@@ -513,7 +515,13 @@ let vmenter t vcpu vmsa =
   | _ ->
       Tlb.flush vcpu.Vcpu.tlb;
       Obs.Metrics.incr t.c_tlb_flush);
-  vcpu.Vcpu.current <- Some vmsa;
+  (let i = Types.vmpl_index vmsa.Vmsa.vmpl in
+   match vcpu.Vcpu.entered.(i) with
+   | Some v as entered when v == vmsa -> vcpu.Vcpu.current <- entered
+   | _ ->
+       let entered = Some vmsa in
+       vcpu.Vcpu.entered.(i) <- entered;
+       vcpu.Vcpu.current <- entered);
   (* Entry legs, billed to the instance being entered. *)
   Vcpu.charge vcpu Cycles.Vmenter (Cycles.switch_cost Cycles.Vmenter);
   Vcpu.charge vcpu Cycles.Vmsa_restore (Cycles.switch_cost Cycles.Vmsa_restore);

@@ -222,6 +222,12 @@ val register_ghcb : t -> Types.gpa -> (Ghcb.t, string) result
     for another domain). *)
 
 val ghcb_of_vcpu : t -> Vcpu.t -> Ghcb.t option
+
+val current_ghcb : t -> Vcpu.t -> Ghcb.t
+(** The current instance's registered GHCB, without allocating; raises
+    [Not_found] where {!ghcb_of_vcpu} answers [None].  For the
+    world-switch hot path. *)
+
 val ghcb_at : t -> Types.gpfn -> Ghcb.t option
 
 val vmgexit : t -> Vcpu.t -> ghcb:bool -> unit

@@ -1,6 +1,7 @@
 type t = {
   id : int;
   mutable current : Vmsa.t option;
+  entered : Vmsa.t option array;
   counter : Cycles.counter;
   tlb : Tlb.t;
   mutable exits : int;
@@ -10,8 +11,8 @@ type t = {
 }
 
 let create ~id ~tlb_gen ~prof =
-  { id; current = None; counter = Cycles.create_counter (); tlb = Tlb.create ~gen:tlb_gen;
-    exits = 0; pending_interrupts = 0; last_exit_ts = 0; prof }
+  { id; current = None; entered = Array.make 4 None; counter = Cycles.create_counter ();
+    tlb = Tlb.create ~gen:tlb_gen; exits = 0; pending_interrupts = 0; last_exit_ts = 0; prof }
 
 let current_vmsa t =
   match t.current with

@@ -8,6 +8,9 @@
 type t = {
   id : int;
   mutable current : Vmsa.t option;  (** the instance currently on the CPU *)
+  entered : Vmsa.t option array;
+      (** per VMPL, the [Some] last installed as [current]: re-entering
+          that instance reuses it instead of allocating *)
   counter : Cycles.counter;
   tlb : Tlb.t;  (** this CPU's translation cache, flushed on instance switches *)
   mutable exits : int;  (** total world exits taken *)

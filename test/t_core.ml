@@ -225,6 +225,54 @@ let test_slog_capacity () =
        ~lines:(V.Slog.read_all sys.V.Boot.slog)
        ~digest:(V.Slog.chain_digest sys.V.Boot.slog))
 
+(* Fleet runs several guests in one process, so each VeilS-LOG and
+   kernel must render, frame and hash from its own scratch state.  Two
+   guests with different seeds and different line lengths, their
+   audited syscalls interleaved one by one, must store exactly the
+   lines and chain digest each stores when run alone — and a digest a
+   caller already holds must not change under later appends. *)
+let test_slog_guests_isolated () =
+  let guest seed = V.Boot.boot_veil ~npages:2048 ~seed () in
+  let op (sys, proc, tag) i =
+    let path = Printf.sprintf "/tmp/%s-%d" (String.make (1 + (i * 37 mod 90)) tag.[0]) i in
+    ignore
+      (Kern.invoke sys.V.Boot.kernel proc S.Open
+         [ K.Str (path ^ tag); K.Int (0x42 + i); K.Int (-i); K.Ptr (-1 - i) ])
+  in
+  let start seed tag =
+    let sys = guest seed in
+    let kernel = sys.V.Boot.kernel in
+    Guest_kernel.Audit.set_rules (Kern.audit kernel) [ S.Open ];
+    (sys, Kern.spawn kernel, tag)
+  in
+  let log (sys, _, _) = (V.Slog.read_all sys.V.Boot.slog, V.Slog.chain_digest sys.V.Boot.slog) in
+  let n = 12 in
+  let solo seed tag =
+    let g = start seed tag in
+    for i = 0 to n - 1 do
+      op g i
+    done;
+    log g
+  in
+  let a_alone = solo 23 "a\n\"" and b_alone = solo 29 "b" in
+  let a = start 23 "a\n\"" and b = start 29 "b" in
+  op a 0;
+  let (a_sys, _, _) = a in
+  let held = V.Slog.chain_digest a_sys.V.Boot.slog in
+  let held_copy = Bytes.copy held in
+  for i = 0 to n - 1 do
+    if i > 0 then op a i;
+    op b i
+  done;
+  let same what (lines, digest) (lines', digest') =
+    Alcotest.(check (list string)) (what ^ " lines") lines lines';
+    Alcotest.(check string) (what ^ " chain digest") (Bytes.to_string digest) (Bytes.to_string digest')
+  in
+  same "guest a" a_alone (log a);
+  same "guest b" b_alone (log b);
+  Alcotest.(check int) "guest a logged every call" n (List.length (fst (log a)));
+  Alcotest.(check bool) "held digest unchanged by later appends" true (Bytes.equal held held_copy)
+
 (* --- VeilS-ENC lifecycle --- *)
 
 let mk_enclave sys binary =
@@ -455,6 +503,7 @@ let suite =
     ("slog append/read/chain", `Quick, test_slog_append_and_read);
     ("slog survives kernel tamper", `Quick, test_slog_survives_kernel_tamper);
     ("slog capacity + clear", `Quick, test_slog_capacity);
+    ("slog guests isolated in one process", `Quick, test_slog_guests_isolated);
     ("enclave measurement reproducible", `Quick, test_enclave_measurement_reproducible);
     ("enclave isolation + destroy scrub", `Quick, test_enclave_isolation_and_destroy);
     ("enclave data roundtrip", `Quick, test_enclave_data_roundtrip);

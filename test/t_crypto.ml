@@ -37,6 +37,47 @@ let test_sha256_block_boundaries () =
         (hex (Sha256.finalize ctx)))
     [ 0; 1; 54; 55; 56; 57; 63; 64; 65; 127; 128; 129 ]
 
+(* One reused context — reset, fed in three slices of a larger buffer,
+   finalized in place — must equal the one-shot digest at every
+   length, including the 55/56/64-byte padding edges, and keep doing
+   so message after message. *)
+let sha256_reuse_split =
+  QCheck.Test.make ~name:"sha256 reset/update_sub/finalize = digest_bytes" ~count:300
+    QCheck.(
+      make
+        Gen.(
+          list_size (1 -- 4)
+            (triple (string_size ~gen:(map Char.chr (0 -- 255)) (0 -- 300)) (0 -- 300) (0 -- 300))))
+    (fun msgs ->
+      let ctx = Sha256.init () in
+      List.for_all
+        (fun (s, a, b) ->
+          let n = String.length s in
+          let i = min a n in
+          let j = i + min b (n - i) in
+          let buf = Bytes.of_string ("<<" ^ s ^ ">>") in
+          Sha256.reset ctx;
+          Sha256.update_sub ctx buf 2 i;
+          Sha256.update_sub ctx buf (2 + i) (j - i);
+          Sha256.update_sub ctx buf (2 + j) (n - j);
+          Bytes.equal (Sha256.finalize ctx) (Sha256.digest_string s))
+        msgs)
+
+let sha256_chain_step =
+  QCheck.Test.make ~name:"sha256 chain_step = H(prev || slice)" ~count:200
+    QCheck.(make Gen.(pair (string_size (0 -- 200)) (0 -- 64)))
+    (fun (s, off) ->
+      let ctx = Sha256.init () in
+      let prev = Sha256.digest_string "prev" in
+      let off = min off (String.length s) in
+      let len = String.length s - off in
+      let d = Sha256.chain_step ctx prev (Bytes.of_string s) off len in
+      let expect = Sha256.digest_bytes (Bytes.cat prev (Bytes.of_string (String.sub s off len))) in
+      (* a later step on the same context leaves the earlier result alone *)
+      let d_copy = Bytes.copy d in
+      ignore (Sha256.chain_step ctx d (Bytes.of_string s) 0 (String.length s));
+      Bytes.equal d expect && Bytes.equal d d_copy)
+
 (* --- HMAC-SHA256 (RFC 4231) --- *)
 
 let test_hmac_rfc4231 () =
@@ -340,4 +381,6 @@ let suite =
     ("rng golden vectors", `Quick, test_rng_golden);
     ("rng draws allocate nothing", `Quick, test_rng_alloc_free);
     q rng_int_bounds;
+    q sha256_reuse_split;
+    q sha256_chain_step;
   ]

@@ -273,6 +273,71 @@ let test_audit_tamper_unprotected () =
   Alcotest.(check bool) "tampered" true
     (Guest_kernel.Audit.tamper (Kern.audit kernel) ~seq:1 ~detail:"forged")
 
+(* The allocation-free audit renderers must reproduce, byte for byte,
+   the Printf/Format rendering they replaced.  That rendering lives on
+   only here, as the oracle. *)
+let oracle_arg fmt = function
+  | K.Int n -> Format.fprintf fmt "%d" n
+  | K.Str s -> Format.fprintf fmt "%S" s
+  | K.Buf b -> Format.fprintf fmt "<buf:%d>" (Bytes.length b)
+  | K.Ptr p -> Format.fprintf fmt "0x%x" p
+
+let oracle_detail ~uid ~euid args =
+  let buf = Buffer.create 64 in
+  Buffer.add_string buf (Printf.sprintf "uid=%d euid=%d" uid euid);
+  List.iteri (fun i a -> Buffer.add_string buf (Format.asprintf " a%d=%a" i oracle_arg a)) args;
+  Buffer.contents buf
+
+let oracle_line (r : Guest_kernel.Audit.record) =
+  Printf.sprintf "type=SYSCALL seq=%d tsc=%d syscall=%s(%d) pid=%d %s" r.seq r.cycles
+    (S.to_string r.sys) (S.number r.sys) r.pid r.detail
+
+let gen_audit_int =
+  QCheck.Gen.(oneof [ int; small_signed_int; oneofl [ min_int; max_int; 0; -1; min_int + 1 ] ])
+
+let gen_audit_arg =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun n -> K.Int n) gen_audit_int;
+        map (fun s -> K.Str s) (string_size ~gen:(map Char.chr (0 -- 255)) (0 -- 120));
+        map (fun n -> K.Buf (Bytes.create n)) (0 -- 300);
+        map (fun n -> K.Ptr n) gen_audit_int;
+      ])
+
+let audit_render_matches_oracle =
+  QCheck.Test.make ~name:"audit detail + line = Printf/Format oracle" ~count:500
+    QCheck.(
+      make
+        Gen.(
+          pair
+            (quad gen_audit_int gen_audit_int gen_audit_int gen_audit_int)
+            (triple gen_audit_int (oneofl S.all) (list_size (0 -- 6) gen_audit_arg))))
+    (fun ((uid, euid, seq, cycles), (pid, sys, args)) ->
+      let buf = Buffer.create 16 in
+      Guest_kernel.Audit.add_detail buf ~uid ~euid args;
+      let detail = Buffer.contents buf in
+      let r = { Guest_kernel.Audit.seq; cycles; sys; pid; detail } in
+      (* a reused, non-empty buffer appends after what it holds *)
+      Buffer.clear buf;
+      Buffer.add_string buf "prefix";
+      Guest_kernel.Audit.add_line buf r;
+      detail = oracle_detail ~uid ~euid args
+      && Guest_kernel.Audit.to_line r = oracle_line r
+      && Buffer.contents buf = "prefix" ^ oracle_line r)
+
+let test_audit_render_edges () =
+  let check a =
+    Alcotest.(check string) "pp_arg = oracle" (Format.asprintf "%a" oracle_arg a)
+      (Format.asprintf "%a" K.pp_arg a)
+  in
+  List.iter check
+    [
+      K.Int min_int; K.Int max_int; K.Int 0; K.Int (-7); K.Ptr (-1); K.Ptr min_int; K.Ptr 0;
+      K.Ptr 0xdead_beef; K.Str ""; K.Str "\"\\\n\t\r\b"; K.Str (String.init 256 Char.chr);
+      K.Str (String.make 200 'x'); K.Buf Bytes.empty;
+    ]
+
 (* --- modules (native path) --- *)
 
 let test_module_load_native () =
@@ -361,6 +426,8 @@ let suite =
     ("sys sendfile", `Quick, test_sendfile);
     ("audit rules + records", `Quick, test_audit_rules_and_emit);
     ("audit tamperable without Veil", `Quick, test_audit_tamper_unprotected);
+    q audit_render_matches_oracle;
+    ("audit render edge values", `Quick, test_audit_render_edges);
     ("module load/unload native", `Quick, test_module_load_native);
     ("module TOCTOU signature", `Quick, test_module_bad_signature);
     ("frame allocator", `Quick, test_frame_allocator);
